@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report examples all clean
+.PHONY: install test perfbench-test bench bench-report examples all clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Unit tests of the serving benchmark's helpers (perfbench/), which sit
+# outside the tier-1 testpaths.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

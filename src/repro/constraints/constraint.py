@@ -137,6 +137,12 @@ class SoftConstraint(ABC):
     # Materialization / summaries
     # ------------------------------------------------------------------
 
+    def dense_values(self) -> Any:
+        """This constraint's values as a validated row-major float64
+        ndarray over its scope, compiled once — or ``None`` when it has
+        no vectorized form and materializes leaf by leaf."""
+        return None
+
     def materialize(self) -> "SoftConstraint":
         """An extensionally equal table constraint (explicit tuples)."""
         from .table import to_table

@@ -247,13 +247,17 @@ def _compact_factor(constraint: SoftConstraint) -> SoftConstraint:
 
     Already-extensional tables pass through untouched — the fix for the
     old ``__init__`` re-running the compaction (and its assignment-space
-    sizing) on every derived store.
+    sizing) on every derived store — and so do compiled constraints
+    (:meth:`SoftConstraint.dense_values`), whose array is the form the
+    solver reads.
     """
     if isinstance(constraint, TableConstraint):
         return constraint
-    if assignment_space_size(constraint.scope) <= _MATERIALIZE_LIMIT:
-        return to_table(constraint)
-    return constraint
+    if assignment_space_size(constraint.scope) > _MATERIALIZE_LIMIT:
+        return constraint
+    if constraint.dense_values() is not None:
+        return constraint
+    return to_table(constraint)
 
 
 def _is_trivial(constraint: SoftConstraint) -> bool:
@@ -280,14 +284,16 @@ def _factor_exact(semiring: Semiring, constraint: SoftConstraint) -> bool:
         return False
     if assignment_space_size(constraint.scope) > _MATERIALIZE_LIMIT:
         return False
-    table = to_table(constraint)
-    if len(table.table) < assignment_space_size(table.scope):
-        if not semiring.exact_retract_value(table.default):
-            return False
-    return all(
-        semiring.exact_retract_value(value)
-        for value in table.table.values()
-    )
+    compiled = constraint.dense_values()
+    if compiled is not None:
+        values = compiled.reshape(-1).tolist()
+    else:
+        table = to_table(constraint)
+        if len(table.table) < assignment_space_size(table.scope):
+            if not semiring.exact_retract_value(table.default):
+                return False
+        values = table.table.values()
+    return all(semiring.exact_retract_value(value) for value in values)
 
 
 class MonolithStore(ConstraintStore):

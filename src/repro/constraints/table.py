@@ -9,6 +9,7 @@ solver manipulates.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Mapping, Sequence, Tuple
 
 from ..semirings.base import Semiring
@@ -64,14 +65,15 @@ class TableConstraint(SoftConstraint):
         default: Any = None,
         name: str = "",
     ) -> "TableConstraint":
-        """Internal fast constructor for solver-produced tables.
+        """Internal fast constructor for materialized tables.
 
         Skips the per-tuple key/value validation of ``__init__``: the
         caller guarantees keys are enumerated from ``scope``'s own
         domains and values are semiring elements by construction (e.g.
-        unlifted from a dense array whose dtype the semiring chose).
-        The serving hot path materializes one such table per session
-        per batch member, where re-validation is pure overhead.
+        unlifted from a dense array whose dtype the semiring chose, or
+        returned by a constraint's own validating ``value``).  The
+        serving hot path materializes one such table per session per
+        batch member, where re-validation is pure overhead.
         """
         self = cls.__new__(cls)
         SoftConstraint.__init__(self, semiring, scope)
@@ -131,27 +133,37 @@ def to_table(constraint: SoftConstraint, name: str = "") -> TableConstraint:
     exponential in scope size, which is exactly the price the paper's
     projection operator pays; callers control scope growth.
 
-    The result is memoized on the constraint object, so repeated solves
-    over the same constraint objects (the broker/runtime hot path)
-    materialize each constraint once.  Constraints are semantically
-    immutable functions, which is what makes the memo sound; the ``name``
-    of a memoized table is the one given on first materialization.
+    A constraint with a compiled form (:meth:`SoftConstraint.dense_values`)
+    is tabulated from its array on every call and nothing more is kept:
+    the array stays the constraint's one memoized form.  Any other
+    constraint is evaluated leaf by leaf and the result memoized on the
+    object, so repeated solves over the same constraint objects (the
+    broker/runtime hot path) materialize each constraint once.
+    Constraints are semantically immutable functions, which is what
+    makes the memo sound; the ``name`` of a memoized table is the one
+    given on first materialization.  Values come from ``value``, which
+    already validated them, so the table is not re-validated.
     """
     if isinstance(constraint, TableConstraint):
         return constraint
     cached = getattr(constraint, "_table_memo", None)
     if cached is not None:
         return cached
+    scope = constraint.scope
+    values = constraint.dense_values()
+    if values is not None:
+        keys = itertools.product(*(var.domain for var in scope))
+        return TableConstraint._from_solver(
+            constraint.semiring,
+            scope,
+            dict(zip(keys, values.reshape(-1).tolist())),
+            name=name,
+        )
     table: dict[Tuple[Any, ...], Any] = {}
-    for assignment in iter_assignments(constraint.scope):
-        key = assignment_key(assignment, constraint.scope)
-        table[key] = constraint.value(assignment)
-    materialized = TableConstraint(
-        constraint.semiring,
-        constraint.scope,
-        table,
-        default=constraint.semiring.zero,
-        name=name,
+    for assignment in iter_assignments(scope):
+        table[assignment_key(assignment, scope)] = constraint.value(assignment)
+    materialized = TableConstraint._from_solver(
+        constraint.semiring, scope, table, name=name
     )
     constraint._table_memo = materialized
     return materialized

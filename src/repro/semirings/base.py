@@ -199,6 +199,15 @@ class Semiring(ABC, Generic[A]):
             raise SemiringError(f"{a!r} is not an element of {self.name}")
         return a
 
+    def invalid_mask(self, values: Any) -> Optional[Any]:
+        """``not is_element`` over a float64 ndarray, elementwise.
+
+        ``None`` (the default) means this semiring has no array form of
+        its element check; materialization then validates leaf by leaf
+        through :meth:`check_element`.
+        """
+        return None
+
     def max_elements(self, values: Iterable[A]) -> list[A]:
         """Maximal elements of ``values`` under ``≤S`` (frontier).
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .base import SemiringError, TotallyOrderedSemiring
 
 
@@ -54,6 +56,9 @@ class FuzzySemiring(TotallyOrderedSemiring[float]):
             and not math.isnan(a)
             and 0.0 <= a <= 1.0
         )
+
+    def invalid_mask(self, values: np.ndarray) -> np.ndarray:
+        return ~((values >= 0.0) & (values <= 1.0))
 
     def is_multiplicative_idempotent(self) -> bool:
         return True

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .base import SemiringError, TotallyOrderedSemiring
 
 #: Tolerance used when comparing probabilities that went through division
@@ -59,6 +61,9 @@ class ProbabilisticSemiring(TotallyOrderedSemiring[float]):
             and not math.isnan(a)
             and 0.0 <= a <= 1.0
         )
+
+    def invalid_mask(self, values: np.ndarray) -> np.ndarray:
+        return ~((values >= 0.0) & (values <= 1.0))
 
     def equiv(self, a: float, b: float) -> bool:
         return abs(a - b) <= _EPS

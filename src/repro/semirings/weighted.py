@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .base import SemiringError, TotallyOrderedSemiring
 
 #: Positive infinity — the semiring ``0`` (total violation / no solution).
@@ -81,6 +83,13 @@ class WeightedSemiring(TotallyOrderedSemiring[float]):
         if self.integral and a != INFINITY and a != int(a):
             return False
         return True
+
+    def invalid_mask(self, values: np.ndarray) -> np.ndarray:
+        # ``not a >= 0`` is ``isnan(a) or a < 0``, as in ``is_element``.
+        bad = ~(values >= 0)
+        if self.integral:
+            bad |= np.isfinite(values) & (values != np.trunc(values))
+        return bad
 
     def sample_elements(self) -> tuple[float, ...]:
         return (INFINITY, 7.0, 3.0, 1.0, 0.0)

@@ -341,8 +341,12 @@ class FairAllocation(AllocationPolicy):
                     detail="nmsccp confirmation run failed",
                 )
                 continue
-            broker._clock += 1
-            sla = broker._sign(evaluation, member.request, member.semiring)
+            sla = broker._sign(
+                evaluation,
+                member.request,
+                member.semiring,
+                next(broker._clock),
+            )
             broker._post(broker.name, "sla-created", sla.sla_id)
             get_events().emit(
                 "broker.sla-created",

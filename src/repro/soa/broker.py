@@ -17,6 +17,7 @@ the per-attribute aggregation rules.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -266,7 +267,10 @@ class Broker:
         #: (qos-doc id, attribute, semiring, pool identities) → compiled
         #: offer constraints + the variables compiling added to the pool.
         self._offer_memo: Dict[tuple, tuple] = {}
-        self._clock = 0
+        #: Logical clock stamping each session's SLA.  One ``next`` per
+        #: session is atomic across the executor threads that serve
+        #: sessions concurrently, and the drawn value is kept locally.
+        self._clock = itertools.count(1)
         if bus is not None:
             bus.register(self.ENDPOINT)
 
@@ -421,7 +425,7 @@ class Broker:
         verify_scheduler_independence: bool,
         tracer: Any,
     ) -> NegotiationResult:
-        self._clock += 1
+        stamp = next(self._clock)
 
         # Step 1: the client requests a binding, stating the required QoS.
         with tracer.span("broker.step1-request"):
@@ -487,7 +491,7 @@ class Broker:
 
         # Step 5: the SLA binding is created and both parties informed.
         with tracer.span("broker.step5-sla") as span:
-            sla = self._sign(best, request, semiring)
+            sla = self._sign(best, request, semiring, stamp)
             span.set_attribute("sla_id", sla.sla_id)
             self._post(self.name, "sla-created", sla.sla_id)
         get_events().emit(
@@ -671,14 +675,15 @@ class Broker:
         evaluation: CandidateEvaluation,
         request: ClientRequest,
         semiring: Semiring,
+        created_at: int,
     ) -> SLA:
         pool: Dict[str, Variable] = {
             var.name: var
             for constraint in request.requirements
             for var in constraint.scope
         }
-        offer = compile_document(
-            evaluation.description.qos, request.attribute, semiring, pool
+        offer = self._compile_offer(
+            evaluation.description, request.attribute, semiring, pool
         )
         agreed = combine(
             list(request.requirements) + offer, semiring=semiring
@@ -692,7 +697,7 @@ class Broker:
             agreed_level=evaluation.blevel,
             resource_assignment=dict(evaluation.best_assignment or {}),
             service_ids=(evaluation.description.service_id,),
-            created_at=self._clock,
+            created_at=created_at,
         )
         self.slas.add(sla)
         return sla
@@ -756,7 +761,7 @@ class Broker:
         slo_target: Any = None,
         slo_choose: str = "worst-case",
     ) -> Tuple[Optional[SLA], Optional[Plan], Dict[str, Any]]:
-        self._clock += 1
+        stamp = next(self._clock)
         semiring = resolve_attribute(attribute).semiring()
         if rule is None:
             try:
@@ -867,7 +872,7 @@ class Broker:
             agreed_level=result.blevel,
             resource_assignment=dict(result.best_assignment),
             service_ids=tuple(chosen_ids),
-            created_at=self._clock,
+            created_at=stamp,
         )
         self.slas.add(sla)
         self._post(self.name, "composition-sla", sla.sla_id)
@@ -1012,7 +1017,7 @@ class Broker:
             raise BrokerError(
                 "multicriteria negotiation needs at least two attributes"
             )
-        self._clock += 1
+        next(self._clock)
         component_semirings = [
             resolve_attribute(a).semiring() for a in attributes
         ]

@@ -32,9 +32,11 @@ from .elimination import (
     clear_bucket_cache,
     eliminate,
     eliminate_batch,
+    fits_nested_dense,
     shared_bucket_cache,
     solve_elimination,
     solve_elimination_batch,
+    solve_nested_dense,
 )
 from .exhaustive import solve_exhaustive
 from .kernels import (
@@ -82,42 +84,53 @@ def solve(
 ) -> SolverResult:
     """Solve an SCSP with the requested backend.
 
-    ``method="auto"`` picks branch & bound for totally ordered semirings
-    and bucket elimination otherwise.  ``backend`` selects the factor
-    representation for the methods that support it (``auto``/``dict``/
-    ``dense``, see :mod:`repro.solver.kernels`).  When ``cache`` is given
-    the solve is keyed by :func:`~repro.solver.cache.problem_fingerprint`
-    and answered from a warm entry when one exists.  ``bucket_cache``
-    (elimination only) additionally memoizes per-bucket intermediates so
-    a near-miss — same topology, one factor changed — re-eliminates only
-    the affected buckets; it never changes results, so it is deliberately
-    excluded from the problem fingerprint.
+    ``method="auto"`` picks by shape.  A plain lowered total order with
+    at most two constraints, one scope containing the other (the
+    broker's requirement ⊗ offer), is answered on one dense array by
+    :func:`~repro.solver.elimination.solve_nested_dense`, which returns
+    exactly what branch & bound returns; other totally ordered problems
+    take branch & bound, partial orders bucket elimination.  ``backend``
+    selects the factor representation for the methods that support it
+    (``auto``/``dict``/``dense``, see :mod:`repro.solver.kernels`).
+    When ``cache`` is given the solve is keyed by
+    :func:`~repro.solver.cache.problem_fingerprint` and answered from a
+    warm entry when one exists.  ``bucket_cache`` (elimination only)
+    additionally memoizes per-bucket intermediates so a near-miss — same
+    topology, one factor changed — re-eliminates only the affected
+    buckets; it never changes results, so it is deliberately excluded
+    from the problem fingerprint.
     """
-    if method == "auto":
-        method = (
-            "branch-bound"
-            if problem.semiring.is_total_order()
-            else "elimination"
-        )
-    try:
-        backend_fn = _METHODS[method]
-    except KeyError:
+    if method != "auto" and method not in _METHODS:
         known = ", ".join(sorted(_METHODS) + ["auto"])
         raise ProblemError(
             f"unknown solve method {method!r}; known: {known}"
-        ) from None
-    call_options = dict(options)
-    if method in _BACKEND_AWARE:
-        call_options["backend"] = backend
-    if bucket_cache is not None and method == "elimination":
-        call_options["bucket_cache"] = bucket_cache
+        )
+    key = None
     if cache is not None:
+        # Keyed by the method asked for: what ``auto`` picks is a
+        # function of the fingerprinted problem, backend and options.
         key = problem_fingerprint(problem, method, backend, options)
         hit = cache.fetch(key, problem)
         if hit is not None:
             return hit
-    result = backend_fn(problem, **call_options)
-    if cache is not None:
+    if method == "auto" and fits_nested_dense(problem, backend, options):
+        result = solve_nested_dense(
+            problem, options.get("ordering", "max-degree")
+        )
+    else:
+        if method == "auto":
+            method = (
+                "branch-bound"
+                if problem.semiring.is_total_order()
+                else "elimination"
+            )
+        call_options = dict(options)
+        if method in _BACKEND_AWARE:
+            call_options["backend"] = backend
+        if bucket_cache is not None and method == "elimination":
+            call_options["bucket_cache"] = bucket_cache
+        result = _METHODS[method](problem, **call_options)
+    if key is not None:
         cache.store(key, result)
     return result
 

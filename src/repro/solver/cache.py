@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..caching import LRUCache
-from ..constraints.digest import canon_value, constraint_digest
+from ..constraints.digest import canon_value, constraint_digest, scope_signature
 from .problem import SCSP, SolverResult, SolverStats
 
 #: Default number of distinct problems kept warm (satellite spec: bounded).
@@ -76,10 +76,7 @@ def _scope_signature(constraint: Any) -> bytes:
     re-serialization of every domain."""
     memo = getattr(constraint, "_scope_sig_memo", None)
     if memo is None:
-        memo = b"".join(
-            f"var {var.name}:{canon_value(var.domain)};".encode()
-            for var in constraint.scope
-        )
+        memo = scope_signature(constraint.scope)
         constraint._scope_sig_memo = memo
     return memo
 

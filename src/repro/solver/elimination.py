@@ -23,6 +23,8 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..caching import LRUCache
 from ..constraints.digest import constraint_digest
 from ..constraints.operations import combine
@@ -36,6 +38,8 @@ from .kernels import (
     KernelError,
     Lowering,
     combine_factors,
+    lower_semiring,
+    lowers_plainly,
     resolve_lowering,
     stack_factors,
 )
@@ -146,6 +150,19 @@ def eliminate(
     recomputed.  The cache never changes results — a key is a pure
     function of a bucket's inputs — only which buckets are recomputed.
     """
+    solution, stats = _eliminate(problem, ordering, backend, bucket_cache)
+    if isinstance(solution, DenseFactor):
+        solution = solution.to_table()
+    return solution, stats
+
+
+def _eliminate(
+    problem: SCSP,
+    ordering: str | OrderingFn,
+    backend: str,
+    bucket_cache: Optional[BucketCache],
+) -> tuple["DenseFactor | TableConstraint", SolverStats]:
+    """:func:`eliminate`, leaving a dense ``Sol(P)`` as its array."""
     semiring = problem.semiring
     stats = SolverStats()
     con_set = set(problem.con)
@@ -161,16 +178,17 @@ def eliminate(
         for var in order_fn(problem.variables, problem.constraints)
         if var.name not in con_set
     ]
+    solution: "DenseFactor | TableConstraint"
     if lowering is not None:
-        table = _eliminate_dense(
+        solution = _eliminate_dense(
             problem, to_eliminate, lowering, stats, bucket_cache
         )
     else:
-        table = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
+        solution = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
     stats.largest_intermediate = max(
-        stats.largest_intermediate, assignment_space_size(table.scope)
+        stats.largest_intermediate, assignment_space_size(solution.scope)
     )
-    return table, stats
+    return solution, stats
 
 
 def _eliminate_dict(
@@ -232,7 +250,7 @@ def _eliminate_dense(
     lowering: Lowering,
     stats: SolverStats,
     bucket_cache: Optional[BucketCache] = None,
-) -> TableConstraint:
+) -> DenseFactor:
     """The same bucket schedule over broadcast ndarray factors."""
     pool: List[DenseFactor] = [
         DenseFactor.from_constraint(c, lowering)
@@ -278,8 +296,7 @@ def _eliminate_dense(
         if digests is not None:
             digests[id(eliminated)] = key
         pool = rest + [eliminated]
-    solution = combine_factors(pool).project(problem.con)
-    return solution.to_table()
+    return combine_factors(pool).project(problem.con)
 
 
 def eliminate_batch(
@@ -301,6 +318,20 @@ def eliminate_batch(
     broadcast across axis 0, slice ``b`` of the sweep is bit-identical
     to eliminating ``problems[b]`` alone — on either backend.
     """
+    return [
+        (member.to_table(), member_stats)
+        for member, member_stats in _eliminate_batch(
+            problems, ordering, backend
+        )
+    ]
+
+
+def _eliminate_batch(
+    problems: Sequence[SCSP],
+    ordering: str | OrderingFn,
+    backend: str,
+) -> List[tuple[DenseFactor, SolverStats]]:
+    """:func:`eliminate_batch`, leaving each ``Sol(P_b)`` as its array."""
     if not problems:
         raise ProblemError("eliminate_batch needs at least one problem")
     head = problems[0]
@@ -366,16 +397,50 @@ def eliminate_batch(
     solution = combine_factors(pool).project(head.con)
     if isinstance(solution, DenseFactor):  # pragma: no cover - 1-factor pool
         solution = stack_factors([solution] * len(problems))
-    results: List[tuple[TableConstraint, SolverStats]] = []
+    members: List[tuple[DenseFactor, SolverStats]] = []
     for member in solution.split():
-        table = member.to_table()
         member_stats = replace(stats)
         member_stats.largest_intermediate = max(
             member_stats.largest_intermediate,
-            assignment_space_size(table.scope),
+            assignment_space_size(member.scope),
         )
-        results.append((table, member_stats))
-    return results
+        members.append((member, member_stats))
+    return members
+
+
+def _result_from_solution(
+    problem: SCSP,
+    solution: "DenseFactor | TableConstraint",
+    stats: SolverStats,
+) -> SolverResult:
+    """Build the :class:`SolverResult` payload from ``Sol(P)``.
+
+    A dense solution under a plain lowering is read on its array: the
+    plus-reduction gives the best value, ``flatnonzero`` its optima in
+    row-major order — the order :func:`_result_from_table` walks a
+    table in, and the blevel and frontier are the first hit, as that
+    walk's left folds keep the first of equal values.  Any other
+    solution takes the table walk.
+    """
+    if not isinstance(solution, DenseFactor):
+        return _result_from_table(problem, solution, stats)
+    lowering = solution.lowering
+    if not lowers_plainly(lowering.semiring):
+        return _result_from_table(problem, solution.to_table(), stats)
+    flat = solution.array.reshape(-1)
+    hits = np.flatnonzero(flat == lowering.plus.reduce(flat))
+    blevel = lowering.unlift(flat[hits[0]])
+    names = solution.support
+    return SolverResult(
+        problem=problem,
+        blevel=blevel,
+        frontier=[blevel],
+        optima=[
+            [dict(zip(names, key)) for key in _keys_at(solution.scope, hits)]
+        ],
+        method="elimination",
+        stats=stats,
+    )
 
 
 def _result_from_table(
@@ -430,16 +495,14 @@ def solve_elimination(
     with get_tracer().span(
         "solver.solve", method="elimination", problem=problem.name
     ):
-        table, stats = eliminate(
-            problem, ordering, backend=backend, bucket_cache=bucket_cache
-        )
+        solution, stats = _eliminate(problem, ordering, backend, bucket_cache)
     record_solve_metrics(
         "elimination",
         stats,
         time.perf_counter() - started,
         backend=used_backend,
     )
-    return _result_from_table(problem, table, stats)
+    return _result_from_solution(problem, solution, stats)
 
 
 def solve_elimination_batch(
@@ -459,18 +522,133 @@ def solve_elimination_batch(
     with get_tracer().span(
         "solver.solve-batch", method="elimination", size=len(problems)
     ):
-        eliminated = eliminate_batch(problems, ordering, backend=backend)
+        eliminated = _eliminate_batch(problems, ordering, backend)
     elapsed = time.perf_counter() - started
     results: List[SolverResult] = []
-    for problem, (table, stats) in zip(problems, eliminated):
+    for problem, (solution, stats) in zip(problems, eliminated):
         record_solve_metrics(
             "elimination",
             stats,
             elapsed / len(problems),
             backend="dense",
         )
-        results.append(_result_from_table(problem, table, stats))
+        results.append(_result_from_solution(problem, solution, stats))
     return results
+
+
+def fits_nested_dense(
+    problem: SCSP,
+    backend: str = "auto",
+    options: Optional[Dict[str, Any]] = None,
+) -> bool:
+    """Whether ``solve(method="auto")`` answers ``problem`` with
+    :func:`solve_nested_dense` rather than branch & bound.
+
+    The one case: a plain (non-composite) lowered total order, a backend
+    that lowers, at most two constraints with one scope containing the
+    other, and no option beyond branch & bound's ``ordering`` and
+    ``lookahead``.  More factors, composites and the dict backend stay
+    on branch & bound.
+    """
+    if backend not in ("auto", "dense") or len(problem.constraints) > 2:
+        return False
+    if not set(options or ()) <= {"ordering", "lookahead"}:
+        return False
+    if len(problem.constraints) == 2:
+        first, second = (set(c.support) for c in problem.constraints)
+        if not (first <= second or second <= first):
+            return False
+    return lowers_plainly(problem.semiring)
+
+
+def solve_nested_dense(
+    problem: SCSP, ordering: str | OrderingFn = "max-degree"
+) -> SolverResult:
+    """Branch & bound's exact answer to a problem
+    :func:`fits_nested_dense` accepts, computed on one dense array.
+
+    With at most two factors whose scopes nest, ``⊗C`` is no larger
+    than the bigger factor, which is already compiled.  The joint is
+    built in branch & bound's own fold — ``one`` ⊗ each factor in its
+    activation order (deepest branching variable first reached, ties in
+    problem order) — so every leaf value is bit-identical to the search.
+    Branch & bound keeps the first leaf reaching the best value and
+    every later leaf equal to it, and never prunes such a leaf (its
+    bound is never below it).  With the joint's axes in the branching
+    order, its DFS order is row-major: the blevel is the first hit and
+    the optima are the hits, projected onto ``con`` and deduplicated
+    exactly as the search does.  A best value equal to ``zero`` has no
+    optima, as in the search.  The statistics count every leaf as
+    evaluated and no search node as expanded; telemetry labels the solve
+    ``elimination`` on the dense backend.
+    """
+    semiring = problem.semiring
+    lowering = lower_semiring(semiring)
+    started = time.perf_counter()
+    order = tuple(
+        resolve_ordering(ordering)(problem.variables, problem.constraints)
+    )
+    depth = {var.name: index for index, var in enumerate(order)}
+    activation = sorted(
+        problem.constraints,
+        key=lambda c: max((depth[name] for name in c.support), default=-1),
+    )
+    with get_tracer().span(
+        "solver.solve", method="elimination", problem=problem.name
+    ):
+        one = np.full(
+            tuple(var.size for var in order), semiring.one, lowering.dtype
+        )
+        joint = combine_factors(
+            [DenseFactor(lowering, order, one)]
+            + [DenseFactor.from_constraint(c, lowering) for c in activation]
+        )
+        flat = joint.array.reshape(-1)
+        best = lowering.plus.reduce(flat)
+        projected: List[Dict[str, Any]] = []
+        if best == semiring.zero:
+            blevel = semiring.zero
+        else:
+            hits = np.flatnonzero(flat == best)
+            blevel = lowering.unlift(flat[hits[0]])
+            con_set = set(problem.con)
+            picks = sorted(
+                (var.name, index)
+                for index, var in enumerate(order)
+                if var.name in con_set
+            )
+            seen: set = set()
+            for key in _keys_at(order, hits):
+                witness = tuple((name, key[index]) for name, index in picks)
+                if witness not in seen:
+                    seen.add(witness)
+                    projected.append(dict(witness))
+    stats = SolverStats(
+        leaves_evaluated=flat.size, largest_intermediate=flat.size
+    )
+    record_solve_metrics(
+        "elimination", stats, time.perf_counter() - started, backend="dense"
+    )
+    return SolverResult(
+        problem=problem,
+        blevel=blevel,
+        frontier=[blevel],
+        optima=[projected],
+        method="elimination",
+        stats=stats,
+    )
+
+
+def _keys_at(scope: Sequence[Variable], flat_indices: np.ndarray) -> List[tuple]:
+    """The assignment tuples of ``scope`` at row-major ``flat_indices``."""
+    if not scope:
+        return [()] * len(flat_indices)
+    coords = np.unravel_index(flat_indices, tuple(var.size for var in scope))
+    columns = [
+        [var.domain[i] for i in axis.tolist()]
+        for var, axis in zip(scope, coords)
+    ]
+    return list(zip(*columns))
 
 
 def _backend_label(semiring: Any, backend: str) -> str:

@@ -357,6 +357,12 @@ def lower_semiring(semiring: Semiring) -> Optional[Lowering]:
     return lowering
 
 
+def lowers_plainly(semiring: Semiring) -> bool:
+    """Whether ``semiring`` has one of the four base lowerings: a scalar
+    dtype with exact ``==`` ties under a total order (no composite)."""
+    return type(semiring) in _LOWERING_TABLE
+
+
 #: Dict-path fallbacks under backend="auto", tallied per semiring name —
 #: the silent degradation satellite: operators can see *why* the dense
 #: kernels did not engage via telemetry
@@ -477,11 +483,17 @@ class DenseFactor:
     def from_constraint(
         cls, constraint: SoftConstraint, lowering: Lowering
     ) -> "DenseFactor":
-        """Lower any constraint, memoizing the conversion on the
-        materialized table so repeated solves over the same constraint
-        objects (the broker/runtime hot path) lower exactly once."""
+        """Lower any constraint.  A compiled constraint
+        (:meth:`~repro.constraints.constraint.SoftConstraint.dense_values`)
+        is wrapped as is; anything else is lowered from its materialized
+        table and the conversion memoized there, so repeated solves over
+        the same constraint objects (the broker/runtime hot path) lower
+        exactly once."""
         if isinstance(constraint, DenseFactor):  # pragma: no cover - guard
             return constraint
+        values = constraint.dense_values()
+        if values is not None and values.dtype == lowering.dtype:
+            return cls(lowering, constraint.scope, values)
         table = to_table(constraint)
         memo = getattr(table, "_dense_memo", None)
         if memo is not None and memo.lowering is lowering:

@@ -223,7 +223,9 @@ class TestCompositionNegotiation:
             "client", ["red", "bw"], "reliability"
         )
         assert diagnostics["offer_levels"]["red-A"] == pytest.approx(0.99)
-        assert diagnostics["evaluations"] >= 1
+        # one selection constraint over 2 × 2 provider pairs, answered
+        # densely by auto: every pair evaluated
+        assert diagnostics["evaluations"] == 4
 
     def test_choose_pattern_worst_case(self, pipeline_market):
         broker = Broker(pipeline_market)

@@ -1,6 +1,8 @@
 """Broker edge paths: failed confirmations, semiring tie-breaks,
 update-style repeated negotiations."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.constraints import Polynomial, integer_variable, polynomial_constraint
 from repro.sccp import interval
@@ -96,6 +98,28 @@ class TestRepeatedNegotiation:
         assert second.sla.sla_id > first.sla.sla_id
         assert second.sla.created_at > first.sla.created_at
         assert len(broker.slas) == 2
+
+    def test_concurrent_sessions_get_distinct_clock_stamps(self, weighted):
+        registry = ServiceRegistry()
+        publish_cost(registry, "P", base=1.0)
+        broker = Broker(registry)
+        request = ClientRequest(client="C", operation="op", attribute="cost")
+        sessions = 64
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave threads aggressively
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(
+                    pool.map(
+                        lambda _: broker.negotiate(request),
+                        range(sessions),
+                        timeout=60,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(switch)
+        stamps = [result.sla.created_at for result in results]
+        assert len(set(stamps)) == sessions
 
     def test_tie_break_keeps_first_best(self, weighted):
         registry = ServiceRegistry()

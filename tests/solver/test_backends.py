@@ -1,6 +1,7 @@
 """The three solver backends, individually and against each other."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.constraints import TableConstraint, variable
 from repro.semirings import (
     FuzzySemiring,
+    LexicographicSemiring,
     ProbabilisticSemiring,
     SetSemiring,
     WeightedSemiring,
@@ -132,9 +134,91 @@ class TestElimination:
         assert result.stats.largest_intermediate >= 2
 
 
+def _nested_pair(semiring, values):
+    """A requirement over (y, x) and an offer over (x,): nested scopes,
+    listed in the order that differs from the branching order."""
+    x = variable("x", [0, 1, 2])
+    y = variable("y", [0, 1])
+    keys = list(itertools.product(y.domain, x.domain))
+    requirement = TableConstraint(semiring, [y, x], dict(zip(keys, values)))
+    offer = TableConstraint(
+        semiring, [x], {(0,): values[0], (1,): values[2], (2,): values[1]}
+    )
+    return requirement, offer
+
+
+def assert_same_as_branch_bound(problem, **options):
+    """``auto`` answers densely, exactly as branch & bound does."""
+    auto = solve(problem, **options)
+    bnb = solve_branch_bound(problem, **options)
+    assert auto.method == "elimination"
+    assert repr(auto.blevel) == repr(bnb.blevel)
+    assert auto.frontier == bnb.frontier
+    assert [[list(d.items()) for d in g] for g in auto.optima] == [
+        [list(d.items()) for d in g] for g in bnb.optima
+    ]
+    assert auto.best_assignment == bnb.best_assignment
+    return auto
+
+
 class TestAutoDispatch:
     def test_auto_picks_branch_bound_for_total_orders(self, fig1_problem):
         assert solve(fig1_problem).method == "branch-bound"
+
+    @pytest.mark.parametrize(
+        "semiring",
+        [WeightedSemiring(), FuzzySemiring(), ProbabilisticSemiring()],
+        ids=lambda s: s.name,
+    )
+    def test_nested_pair_routes_to_dense_elimination(self, semiring):
+        values = [0.5, 0.25, 0.5, 0.75, 0.25, 0.5]
+        requirement, offer = _nested_pair(semiring, values)
+        for constraints in ([requirement, offer], [offer, requirement]):
+            problem = SCSP(constraints)
+            result = assert_same_as_branch_bound(problem)
+            # every joint leaf evaluated, no search tree
+            assert result.stats.leaves_evaluated == 6
+            assert result.stats.nodes_expanded == 0
+            assert_same_as_branch_bound(SCSP(constraints, con=["y"]))
+            assert_same_as_branch_bound(problem, ordering="given")
+            assert_same_as_branch_bound(problem, lookahead=False)
+
+    def test_single_constraint_routes_to_dense_elimination(self, weighted):
+        requirement, _ = _nested_pair(weighted, [3.0, 1.0, 1.0, 2.0, 1.0, 4.0])
+        result = assert_same_as_branch_bound(SCSP([requirement]))
+        assert result.blevel == 1.0
+        assert result.optima == [
+            [{"x": 1, "y": 0}, {"x": 2, "y": 0}, {"x": 1, "y": 1}]
+        ]
+
+    def test_all_zero_problem_has_no_optima(self, weighted):
+        requirement, offer = _nested_pair(weighted, [math.inf] * 6)
+        result = assert_same_as_branch_bound(SCSP([requirement, offer]))
+        assert result.blevel == math.inf
+        assert result.optima == [[]]
+
+    def test_more_than_two_factors_stay_on_branch_bound(self, weighted):
+        requirement, offer = _nested_pair(weighted, [1.0] * 6)
+        problem = SCSP([requirement, offer, offer])
+        assert solve(problem).method == "branch-bound"
+
+    def test_non_nested_pair_stays_on_branch_bound(self, weighted):
+        x = variable("x", [0, 1])
+        y = variable("y", [0, 1])
+        cx = TableConstraint(weighted, [x], {(0,): 1.0, (1,): 2.0})
+        cy = TableConstraint(weighted, [y], {(0,): 1.0, (1,): 2.0})
+        assert solve(SCSP([cx, cy])).method == "branch-bound"
+
+    def test_lex_composite_stays_on_branch_bound(self, weighted, fuzzy):
+        lex = LexicographicSemiring([fuzzy, weighted])
+        x = variable("x", [0, 1])
+        c = TableConstraint(lex, [x], {(0,): (0.5, 1.0), (1,): (0.5, 2.0)})
+        assert solve(SCSP([c])).method == "branch-bound"
+
+    def test_dict_backend_stays_on_branch_bound(self, weighted):
+        requirement, offer = _nested_pair(weighted, [1.0] * 6)
+        problem = SCSP([requirement, offer])
+        assert solve(problem, backend="dict").method == "branch-bound"
 
     def test_auto_picks_elimination_for_partial_orders(self, setbased):
         x = variable("x", [0])

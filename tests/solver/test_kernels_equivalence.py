@@ -141,6 +141,55 @@ class TestDenseMatchesDict:
         assert_identical(auto, forced)
 
 
+def random_nested_pair(semiring, seed):
+    """Two constraints whose scopes nest, in shuffled scope orders, with
+    few distinct values (many ties) and sparse defaults."""
+    rng = random.Random(1000 + seed)
+    variables = [
+        variable(f"x{i}", list(range(rng.randint(1, 3))))
+        for i in range(rng.randint(1, 3))
+    ]
+    big = rng.sample(variables, len(variables))
+    small = rng.sample(variables, rng.randint(0, len(variables)))
+    pair = [
+        _random_table(semiring, big, rng),
+        _random_table(semiring, small, rng),
+    ]
+    rng.shuffle(pair)
+    names = [v.name for v in variables]
+    con = rng.sample(names, rng.randint(1, len(names)))
+    return SCSP(pair, con=con, name=f"nested-{seed}")
+
+
+@pytest.mark.parametrize(
+    "semiring", LOWERABLE, ids=lambda s: s.name
+)
+@pytest.mark.parametrize("seed", range(12))
+class TestNestedDenseMatchesBranchBound:
+    """``auto`` solves nested pairs densely; the answer is branch &
+    bound's on either backend, bit for bit and in optima order."""
+
+    def test_auto_equals_branch_bound(self, semiring, seed):
+        problem = random_nested_pair(semiring, seed)
+        auto = solve(problem)
+        assert auto.method == "elimination"
+        for backend in ("dict", "dense"):
+            bnb = solve_branch_bound(problem, backend=backend)
+            assert repr(auto.blevel) == repr(bnb.blevel)
+            assert_identical(auto, bnb)
+            assert [list(d.items()) for d in auto.optima[0]] == [
+                list(d.items()) for d in bnb.optima[0]
+            ]
+            assert auto.best_assignment == bnb.best_assignment
+
+    def test_elimination_still_matches_dict(self, semiring, seed):
+        problem = random_nested_pair(semiring, seed)
+        assert_identical(
+            solve_elimination(problem, backend="dict"),
+            solve_elimination(problem, backend="dense"),
+        )
+
+
 class TestFallbackRouting:
     def _setbased_problem(self):
         semiring = SetSemiring(frozenset({"r", "w", "x"}))

@@ -137,12 +137,15 @@ class TestBrokerRequestTelemetry:
         registry = session.registry
 
         assert counter_total(registry, "solver_solves_total") == 3
-        assert counter_total(registry, "solver_nodes_expanded_total") > 0
-        assert counter_total(registry, "solver_leaves_evaluated_total") > 0
+        # requirement ⊗ offer nest (both over x), so auto answers each
+        # candidate on one dense array: all 11 leaves of x ∈ 0..10
+        # evaluated, no search node expanded
+        assert counter_total(registry, "solver_nodes_expanded_total") == 0
+        assert counter_total(registry, "solver_leaves_evaluated_total") == 33
         # prunes appear as a sample even when the search never pruned
         assert registry.get("solver_prunes_total") is not None
         assert registry.get("solver_solve_seconds").labels(
-            "branch-bound"
+            "elimination"
         ).count == 3
 
         requests = registry.get("broker_requests_total")
