@@ -2,13 +2,19 @@
 
 PYTHON ?= python
 
-.PHONY: install test perfbench-test bench bench-report examples all clean
+.PHONY: install test perfbench perfbench-test bench bench-report examples all clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# The serving benchmark declared in BENCHMARK.json, every workload end to
+# end; pass e.g. PERFBENCH_ARGS="--workload zipf-market --trace 1".
+PERFBENCH_ARGS ?= --workload all
+perfbench:
+	$(PYTHON) perfbench/run.py $(PERFBENCH_ARGS)
 
 # Unit tests of the serving benchmark's helpers (perfbench/), which sit
 # outside the tier-1 testpaths.

@@ -46,7 +46,6 @@ from typing import Any, Dict, Optional
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
-from .constraints.store import STORE_BACKENDS, set_default_store_backend
 from .sccp.check import CheckSpec
 from .semirings.properties import validate_semiring
 from .semirings.registry import get_semiring
@@ -93,9 +92,7 @@ def _emit(payload: Dict[str, Any]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = serialization.problem_from_dict(_read_json(args.problem))
-    result = solve(
-        problem, method=args.method, backend=args.solver_backend
-    )
+    result = solve(problem, method=args.method)
     _emit(
         {
             "problem": problem.name,
@@ -248,46 +245,33 @@ def cmd_negotiate(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _batch_config(args: argparse.Namespace) -> Optional["BatchConfig"]:
-    """A :class:`BatchConfig` from the ``--solver-batching`` flag family,
-    ``None`` when batching is off (or the command has no such flags)."""
-    if not getattr(args, "solver_batching", False):
-        return None
+def _coalescing_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """``batching``/``allocation_policy``/``rounds`` for a broker or a
+    fleet from the ``--solver-batching``/``--allocation-policy`` flags.
+
+    One ``--batch-window-ms``/``--batch-max`` window shapes both the
+    solver batches and the allocation rounds, whichever is on.
+    """
     from .runtime.batching import BatchConfig
 
-    return BatchConfig(
+    policy = args.allocation_policy
+    window = BatchConfig(
         window_ms=args.batch_window_ms, max_batch=args.batch_max
     )
+    return {
+        "batching": window if args.solver_batching else None,
+        "allocation_policy": policy,
+        "rounds": window if policy is not None else None,
+    }
 
 
 def _broker(
     args: argparse.Namespace, registry: ServiceRegistry
 ) -> Broker:
-    """A broker honouring the ``--solver-backend``/``--solve-cache``/
-    ``--store-backend``/``--solver-batching`` flags."""
-    backend = getattr(args, "store_backend", None)
-    if backend is not None:
-        # Sessions the broker does not build itself (negotiate() internals,
-        # nmsccp runs kicked off by handlers) follow the same choice.
-        set_default_store_backend(backend)
-    allocation = getattr(args, "allocation_policy", None)
-    rounds = None
-    if allocation is not None:
-        # The --batch-window-ms/--batch-max knobs shape allocation
-        # rounds too, whether or not solver batching is on.
-        from .runtime.batching import BatchConfig
-
-        rounds = BatchConfig(
-            window_ms=args.batch_window_ms, max_batch=args.batch_max
-        )
+    """A broker honouring the ``--solve-cache``/``--solver-batching``/
+    ``--allocation-policy`` flags."""
     return Broker(
-        registry,
-        solve_cache=args.solve_cache,
-        solver_backend=args.solver_backend,
-        store_backend=backend,
-        batching=_batch_config(args),
-        allocation_policy=allocation,
-        rounds=rounds,
+        registry, solve_cache=args.solve_cache, **_coalescing_options(args)
     )
 
 
@@ -393,27 +377,65 @@ def _resilience_config(
     )
 
 
-def _write_dlq(args: argparse.Namespace, dlq: Any) -> Optional[str]:
-    """Persist the captured dead letters when ``--dlq-out`` was given."""
-    if dlq is None or not getattr(args, "dlq_out", None):
-        return None
-    return str(dlq.to_jsonl(args.dlq_out))
+def _add_resilience(
+    payload: Dict[str, Any], args: argparse.Namespace, snapshot: Any, dlq: Any
+) -> None:
+    """Attach the resilience snapshot, and the ``--dlq-out`` path once
+    the captured dead letters are written there."""
+    payload["resilience"] = snapshot
+    if dlq is not None and args.dlq_out:
+        payload["dlq_out"] = str(dlq.to_jsonl(args.dlq_out))
 
 
-def _runtime_config(args: argparse.Namespace) -> "RuntimeConfig":
-    from .runtime import RetryPolicy, RuntimeConfig
+def _session_policy(args: argparse.Namespace) -> Dict[str, Any]:
+    """``deadline_s``/``retry``/``seed`` for a runtime or a fleet from
+    the ``--deadline``/``--max-attempts``/``--base-backoff``/``--seed``
+    flags."""
+    from .runtime import RetryPolicy
 
-    return RuntimeConfig(
+    return {
+        "deadline_s": args.deadline if args.deadline > 0 else None,
+        "retry": RetryPolicy(
+            max_attempts=args.max_attempts, base_backoff_s=args.base_backoff
+        ),
+        "seed": args.seed,
+    }
+
+
+def _runtime_server(
+    args: argparse.Namespace, registry: ServiceRegistry
+) -> "RuntimeServer":
+    """A runtime server over ``registry`` configured by the serving,
+    fault, resilience and broker flags."""
+    from .runtime import RuntimeConfig, RuntimeServer
+
+    config = RuntimeConfig(
         workers=args.workers,
         max_queue_depth=args.queue,
-        deadline_s=args.deadline if args.deadline > 0 else None,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=args.base_backoff,
-        ),
-        seed=args.seed,
         verify_independence=getattr(args, "verify_independence", False),
+        **_session_policy(args),
     )
+    return RuntimeServer(
+        _broker(args, registry),
+        config,
+        injector=_build_injector(args, registry),
+        resilience=_resilience_config(args),
+    )
+
+
+def _request_factory(template: ClientRequest):
+    """A request factory serving ``template`` under each client's name."""
+
+    def factory(client: str, index: int) -> ClientRequest:
+        return ClientRequest(
+            client=client,
+            operation=template.operation,
+            attribute=template.attribute,
+            requirements=template.requirements,
+            acceptance=template.acceptance,
+        )
+
+    return factory
 
 
 def _session_summary(result: "SessionResult") -> Dict[str, Any]:
@@ -435,27 +457,15 @@ def _session_summary(result: "SessionResult") -> Dict[str, Any]:
 
 def cmd_runtime(args: argparse.Namespace) -> int:
     """Serve N copies of a market's request through the runtime."""
-    from .runtime import RuntimeServer, SessionStatus
+    from .runtime import SessionStatus
 
     market = _load_market(args.market)
     registry = _market_registry(market)
-    request = _market_request(market)
-    injector = _build_injector(args, registry)
-    server = RuntimeServer(
-        _broker(args, registry),
-        _runtime_config(args),
-        injector=injector,
-        resilience=_resilience_config(args),
-    )
-    template = request
+    template = _market_request(market)
+    server = _runtime_server(args, registry)
+    factory = _request_factory(template)
     requests = [
-        ClientRequest(
-            client=f"{template.client}-{index}",
-            operation=template.operation,
-            attribute=template.attribute,
-            requirements=template.requirements,
-            acceptance=template.acceptance,
-        )
+        factory(f"{template.client}-{index}", index)
         for index in range(args.requests)
     ]
     results = server.run(requests)
@@ -473,18 +483,21 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         "sessions": [_session_summary(result) for result in results],
     }
     if server.resilience.config.any_enabled:
-        payload["resilience"] = server.resilience.snapshot()
-        dlq_path = _write_dlq(args, server.resilience.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
+        _add_resilience(
+            payload,
+            args,
+            server.resilience.snapshot(),
+            server.resilience.dlq,
+        )
     _emit(payload)
     return 0 if served == len(results) else 1
 
 
-def _synthetic_market(args: argparse.Namespace):
-    """The synthetic market + request factory for loadgen/fleet runs:
-    the default polynomial-cost market, or (``--contention``) the
-    decreasing-quality contention market the fairness scenario uses."""
+def _load_market_and_factory(args: argparse.Namespace):
+    """The registry + request factory a loadgen/fleet run serves: the
+    ``--market`` file's request for every client, else the synthetic
+    polynomial-cost market, or (``--contention``) the decreasing-quality
+    contention market the fairness scenario uses."""
     from .runtime import (
         contention_request_factory,
         synthesize_contention_market,
@@ -492,7 +505,13 @@ def _synthetic_market(args: argparse.Namespace):
         synthetic_request_factory,
     )
 
-    if getattr(args, "contention", False):
+    if args.market is not None:
+        market = _load_market(args.market)
+        return (
+            _market_registry(market),
+            _request_factory(_market_request(market)),
+        )
+    if args.contention:
         return (
             synthesize_contention_market(
                 providers=args.contention_providers
@@ -502,35 +521,11 @@ def _synthetic_market(args: argparse.Namespace):
     return synthesize_market(seed=args.seed), synthetic_request_factory()
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Measure the runtime under a synthetic client population."""
-    from .runtime import LoadGenerator, LoadProfile, RuntimeServer
+def _load_profile(args: argparse.Namespace) -> "LoadProfile":
+    """The client population from the load-shape flags."""
+    from .runtime import LoadProfile
 
-    if args.market is not None:
-        market = _load_market(args.market)
-        registry = _market_registry(market)
-        template = _market_request(market)
-
-        def factory(client: str, index: int) -> ClientRequest:
-            return ClientRequest(
-                client=client,
-                operation=template.operation,
-                attribute=template.attribute,
-                requirements=template.requirements,
-                acceptance=template.acceptance,
-            )
-
-    else:
-        registry, factory = _synthetic_market(args)
-
-    injector = _build_injector(args, registry)
-    server = RuntimeServer(
-        _broker(args, registry),
-        _runtime_config(args),
-        injector=injector,
-        resilience=_resilience_config(args),
-    )
-    profile = LoadProfile(
+    return LoadProfile(
         clients=args.clients,
         requests=args.requests,
         mode=args.mode,
@@ -538,14 +533,24 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         think_time_s=args.think_time,
         seed=args.seed,
     )
-    generator = LoadGenerator(server, profile, factory)
+
+
+def cmd_loadgen(args: argparse.Namespace) -> int:
+    """Measure the runtime under a synthetic client population."""
+    from .runtime import LoadGenerator
+
+    registry, factory = _load_market_and_factory(args)
+    server = _runtime_server(args, registry)
+    generator = LoadGenerator(server, _load_profile(args), factory)
     report = generator.run_sync()
     payload = report.to_dict()
     if server.resilience.config.any_enabled:
-        payload["resilience"] = server.resilience.snapshot()
-        dlq_path = _write_dlq(args, server.resilience.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
+        _add_resilience(
+            payload,
+            args,
+            server.resilience.snapshot(),
+            server.resilience.dlq,
+        )
     _emit(payload)
     return 0 if report.completed + report.degraded > 0 else 1
 
@@ -553,54 +558,19 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Measure a sharded broker fleet under synthetic load."""
     from .fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
-    from .runtime import LoadProfile, RetryPolicy
 
-    if args.market is not None:
-        market = _load_market(args.market)
-        registry = _market_registry(market)
-        template = _market_request(market)
-
-        def factory(client: str, index: int) -> ClientRequest:
-            return ClientRequest(
-                client=client,
-                operation=template.operation,
-                attribute=template.attribute,
-                requirements=template.requirements,
-                acceptance=template.acceptance,
-            )
-
-    else:
-        registry, factory = _synthetic_market(args)
-
-    if args.store_backend is not None:
-        set_default_store_backend(args.store_backend)
-    rounds = None
-    if args.allocation_policy is not None:
-        from .runtime.batching import BatchConfig
-
-        rounds = BatchConfig(
-            window_ms=args.batch_window_ms, max_batch=args.batch_max
-        )
+    registry, factory = _load_market_and_factory(args)
     config = FleetConfig(
         shards=args.shards,
         vnodes=args.vnodes,
         workers_per_shard=args.workers,
         ingress_depth=args.queue,
         dispatch_depth=args.dispatch_depth,
-        deadline_s=args.deadline if args.deadline > 0 else None,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=args.base_backoff,
-        ),
-        seed=args.seed,
         l2_cache=args.l2_cache,
         route_by=args.route_by,
-        solver_backend=args.solver_backend,
-        store_backend=args.store_backend,
-        batching=_batch_config(args),
-        allocation_policy=args.allocation_policy,
-        rounds=rounds,
         resilience=_resilience_config(args),
+        **_session_policy(args),
+        **_coalescing_options(args),
     )
     # Every shard gets its own injector built from the same flags, so
     # fault behaviour stays keyed to the session, not the shard.
@@ -609,22 +579,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         config,
         injector_factory=lambda shard_id: _build_injector(args, registry),
     )
-    profile = LoadProfile(
-        clients=args.clients,
-        requests=args.requests,
-        mode=args.mode,
-        rate=args.rate,
-        think_time_s=args.think_time,
-        seed=args.seed,
-    )
-    generator = FleetLoadGenerator(frontend, profile, factory)
+    generator = FleetLoadGenerator(frontend, _load_profile(args), factory)
     report = generator.run_sync()
     payload = report.to_dict()
     if config.resilience is not None:
-        payload["resilience"] = frontend.resilience_snapshot()
-        dlq_path = _write_dlq(args, frontend.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
+        _add_resilience(
+            payload, args, frontend.resilience_snapshot(), frontend.dlq
+        )
     _emit(payload)
     fleet = report.fleet
     return 0 if fleet.completed + fleet.degraded > 0 else 1
@@ -767,29 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write metrics in Prometheus text format (implies "
         "--telemetry)",
     )
-    solver_opts = argparse.ArgumentParser(add_help=False)
-    solver_opts.add_argument(
-        "--solver-backend",
-        default="auto",
-        choices=("auto", "dict", "dense"),
-        help="factor representation for the solver hot loop: dict tuple "
-        "tables, dense ndarray kernels, or auto (dense whenever the "
-        "semiring lowers)",
-    )
     broker_opts = argparse.ArgumentParser(add_help=False)
     broker_opts.add_argument(
         "--solve-cache",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="memoize broker solves under a canonical problem fingerprint",
-    )
-    broker_opts.add_argument(
-        "--store-backend",
-        default="auto",
-        choices=STORE_BACKENDS,
-        help="constraint-store representation: the eagerly-combined "
-        "monolith, the structurally-shared factor set, or auto "
-        "(factored)",
     )
     broker_opts.add_argument(
         "--solver-batching",
@@ -828,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser(
         "solve",
         help="solve a JSON SCSP",
-        parents=[observability, solver_opts],
+        parents=[observability],
     )
     p_solve.add_argument("problem", help="path to an scsp JSON file")
     p_solve.add_argument(
@@ -881,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_neg = sub.add_parser(
         "negotiate",
         help="run the broker over a JSON market",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_neg.add_argument("market", help="path to a market JSON file")
     p_neg.add_argument(
@@ -1023,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt = sub.add_parser(
         "runtime",
         help="serve concurrent sessions of a JSON market",
-        parents=[observability, serving, resilience, solver_opts, broker_opts],
+        parents=[observability, serving, resilience, broker_opts],
     )
     p_rt.add_argument("market", help="path to a market JSON file")
     p_rt.add_argument(
@@ -1097,7 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
             serving,
             resilience,
             loadshape,
-            solver_opts,
             broker_opts,
         ],
     )
@@ -1111,7 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
             serving,
             resilience,
             loadshape,
-            solver_opts,
             broker_opts,
         ],
     )
@@ -1150,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dlq = sub.add_parser(
         "dlq",
         help="inspect or replay a dead-letter JSONL file",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_dlq.add_argument(
         "action", choices=("inspect", "replay"), help="what to do"
@@ -1167,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo = sub.add_parser(
         "slo",
         help="SLO analytics for a composition plan over a market",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_slo.add_argument("market", help="path to a market JSON file")
     p_slo.add_argument(

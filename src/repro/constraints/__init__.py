@@ -38,8 +38,6 @@ from .store import (
     StoreError,
     clear_store_caches,
     empty_store,
-    get_default_store_backend,
-    set_default_store_backend,
 )
 from .table import TableConstraint, to_table
 from .variables import (
@@ -85,8 +83,6 @@ __all__ = [
     "StoreError",
     "empty_store",
     "STORE_BACKENDS",
-    "set_default_store_backend",
-    "get_default_store_backend",
     "clear_store_caches",
     "constraint_digest",
     "Variable",

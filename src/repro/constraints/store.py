@@ -26,11 +26,11 @@ Two backends implement the contract:
     store version are cache hits, and two stores that told the same
     factors in any order share entries.
 
-``ConstraintStore(semiring, c)`` dispatches to the session default
-backend (``--store-backend {auto,monolith,factored}``; ``auto`` means
-factored).  The randomized equivalence suite asserts the two backends
-agree bit-for-bit on ``consistency``/``entails`` across every registered
-semiring, including nonmonotonic ``retract``/``update`` traces.
+``ConstraintStore(semiring, c)`` builds a factored store; the monolith
+is the reference oracle, reached with ``backend="monolith"``.  The
+randomized equivalence suite asserts the two backends agree bit-for-bit
+on ``consistency``/``entails`` across every registered semiring,
+including nonmonotonic ``retract``/``update`` traces.
 """
 
 from __future__ import annotations
@@ -59,10 +59,8 @@ _EXACT_RETRACT_MAX_FACTORS = 8
 #: Sentinel marking a not-yet-computed cached value.
 _UNSET = object()
 
-#: The recognised ``--store-backend`` values.
+#: The recognised ``backend=`` values (``auto`` means factored).
 STORE_BACKENDS: Tuple[str, ...] = ("auto", "monolith", "factored")
-
-_default_backend = "auto"
 
 #: Memo for ``σ ⊢ c`` checks.  Entailment is the hot premise of the R2/
 #: R6/R7 transitions and the exhaustive explorer re-derives it for the
@@ -86,31 +84,13 @@ _query_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-query")
 _store_solve_cache: Any = None
 
 
-def set_default_store_backend(backend: str) -> None:
-    """Set the backend ``ConstraintStore(...)``/``empty_store`` build
-    (the CLI's ``--store-backend`` lands here)."""
-    global _default_backend
-    if backend not in STORE_BACKENDS:
-        raise StoreError(
-            f"unknown store backend {backend!r}; known: {STORE_BACKENDS}"
-        )
-    _default_backend = backend
-
-
-def get_default_store_backend() -> str:
-    return _default_backend
-
-
 def _backend_class(backend: Optional[str]) -> type:
-    name = backend or _default_backend
-    if name == "auto":
-        name = "factored"
-    if name == "monolith":
-        return MonolithStore
-    if name == "factored":
+    if backend in (None, "auto", "factored"):
         return FactoredStore
+    if backend == "monolith":
+        return MonolithStore
     raise StoreError(
-        f"unknown store backend {name!r}; known: {STORE_BACKENDS}"
+        f"unknown store backend {backend!r}; known: {STORE_BACKENDS}"
     )
 
 
@@ -186,8 +166,8 @@ class StoreError(Exception):
 
 
 class ConstraintStore:
-    """An immutable constraint store σ; construction dispatches to the
-    session's default backend (or an explicit ``backend=``)."""
+    """An immutable constraint store σ; construction builds a factored
+    store unless ``backend="monolith"`` asks for the reference oracle."""
 
     __slots__ = ()
 

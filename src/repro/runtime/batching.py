@@ -140,27 +140,26 @@ class BatchScheduler:
     def solve(
         self,
         problem: SCSP,
-        backend: str = "auto",
         cache: Optional[SolveCache] = None,
     ) -> SolverResult:
         """Solve ``problem``, coalescing with concurrent same-topology
         callers when possible."""
         try:
-            lowering = resolve_lowering(problem.semiring, backend)
+            lowering = resolve_lowering(problem.semiring, "auto")
         except KernelError:
             lowering = None
         if lowering is None:
             # No ufunc lowering — nothing to stack; take the default
             # (method="auto") path unchanged.
             self._count("bypass")
-            return solve(problem, backend=backend, cache=cache)
+            return solve(problem, cache=cache)
 
         key: Optional[str] = None
         if cache is not None:
             # Same key solve() would compute for an unbatched
             # elimination call, so batched and singleton solves share
             # warm entries.
-            key = problem_fingerprint(problem, "elimination", backend, {})
+            key = problem_fingerprint(problem, "elimination", "auto", {})
             hit = cache.fetch(key, problem)
             if hit is not None:
                 self._count("cache-hit")
@@ -168,11 +167,9 @@ class BatchScheduler:
 
         if self.config.max_batch == 1:
             self._count("solo")
-            return solve(
-                problem, method="elimination", backend=backend, cache=cache
-            )
+            return solve(problem, method="elimination", cache=cache)
 
-        fingerprint = topology_fingerprint(problem, backend=backend)
+        fingerprint = topology_fingerprint(problem)
         entry = _Entry(problem, key, cache)
         with self._lock:
             group = self._groups.get(fingerprint)
@@ -201,7 +198,7 @@ class BatchScheduler:
                 if self._groups.get(fingerprint) is group:
                     del self._groups[fingerprint]
                 entries = list(group.entries)
-            self._execute(entries, backend)
+            self._execute(entries)
         except BaseException as exc:
             for queued in group.entries:
                 if not queued.done.is_set():
@@ -217,12 +214,12 @@ class BatchScheduler:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _execute(self, entries: List[_Entry], backend: str) -> None:
+    def _execute(self, entries: List[_Entry]) -> None:
         """One stacked solve for a closed group, fanned back in
         submission order."""
         problems = [queued.problem for queued in entries]
         try:
-            results = solve_elimination_batch(problems, backend=backend)
+            results = solve_elimination_batch(problems)
         except BaseException as exc:
             for queued in entries:
                 queued.error = exc

@@ -181,13 +181,16 @@ class LoadGenerator:
         return f"c{index % self.profile.clients}"
 
     async def _open_loop(self) -> List[SessionResult]:
+        # Arrival i is due at the start plus the first i seeded gaps, so
+        # submit cost and sleep overshoot never push later arrivals back.
+        loop = asyncio.get_running_loop()
+        due = loop.time()
         futures = []
         for index in range(self.profile.total_requests):
             request = self.request_factory(self._client_name(index), index)
             futures.append(self.server.submit(request))
-            delay = self._rng.expovariate(self.profile.rate)
-            if delay > 0:
-                await asyncio.sleep(delay)
+            due += self._rng.expovariate(self.profile.rate)
+            await asyncio.sleep(max(0.0, due - loop.time()))
         return list(await asyncio.gather(*futures))
 
     async def _closed_loop(self) -> List[SessionResult]:

@@ -74,18 +74,16 @@ def run(
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     scheduler: Optional[Scheduler] = None,
     max_steps: int = 10_000,
-    store_backend: Optional[str] = None,
 ) -> RunResult:
     """Execute ``agent`` until success, deadlock, or ``max_steps``.
 
     Provide either an initial ``store`` or a ``semiring`` (for the empty
-    store ``1̄``; ``store_backend`` picks its representation).  The
-    default scheduler is deterministic-leftmost.
+    store ``1̄``).  The default scheduler is deterministic-leftmost.
     """
     if store is None:
         if semiring is None:
             raise ValueError("run() needs either a store or a semiring")
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
     scheduler = scheduler or DeterministicScheduler()
 
     registry = get_registry()
@@ -174,7 +172,6 @@ def explore(
     semiring: Optional[Semiring] = None,
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     max_configurations: int = 50_000,
-    store_backend: Optional[str] = None,
 ) -> ExplorationResult:
     """Breadth-first search of the full configuration graph.
 
@@ -187,7 +184,7 @@ def explore(
     if store is None:
         if semiring is None:
             raise ValueError("explore() needs either a store or a semiring")
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
 
     initial = Configuration(agent, store)
     result = ExplorationResult()

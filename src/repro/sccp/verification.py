@@ -70,12 +70,11 @@ def _initial(
     agent: Agent,
     store: Optional[ConstraintStore],
     semiring: Optional[Semiring],
-    store_backend: Optional[str] = None,
 ) -> Configuration:
     if store is None:
         if semiring is None:
             raise ValueError("need either a store or a semiring")
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
     return Configuration(agent, store)
 
 
@@ -86,14 +85,13 @@ def check_invariant(
     semiring: Optional[Semiring] = None,
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     max_configurations: int = 50_000,
-    store_backend: Optional[str] = None,
 ) -> VerificationResult:
     """Safety: ``predicate(σ)`` in every reachable configuration.
 
     BFS with parent pointers, so a violation returns the shortest
     refuting path.
     """
-    initial = _initial(agent, store, semiring, store_backend)
+    initial = _initial(agent, store, semiring)
     result = VerificationResult(holds=True)
 
     if not predicate(initial.store):
@@ -139,7 +137,6 @@ def check_eventually(
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     max_configurations: int = 50_000,
     require_success: bool = False,
-    store_backend: Optional[str] = None,
 ) -> VerificationResult:
     """Every *maximal* run reaches a configuration satisfying the
     predicate (and, with ``require_success``, terminates in success).
@@ -148,7 +145,7 @@ def check_eventually(
     check fails when some stuck state (or cycle re-entry) is reached with
     the predicate never having held along the way.
     """
-    initial = _initial(agent, store, semiring, store_backend)
+    initial = _initial(agent, store, semiring)
     result = VerificationResult(holds=True)
 
     # State = (configuration, predicate already satisfied on this path?).

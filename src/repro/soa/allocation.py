@@ -315,7 +315,7 @@ class FairAllocation(AllocationPolicy):
         loads: Dict[str, int] = {}
         for cohort in self._pack_cohorts(members):
             for member, evaluation in zip(
-                cohort, self._solve_cohort(broker, cohort, loads, round_id)
+                cohort, self._solve_cohort(cohort, loads, round_id)
             ):
                 member.chosen = evaluation
                 provider = evaluation.description.provider
@@ -399,7 +399,6 @@ class FairAllocation(AllocationPolicy):
 
     def _solve_cohort(
         self,
-        broker: Broker,
         cohort: List[_Member],
         loads: Dict[str, int],
         round_id: int,
@@ -420,7 +419,7 @@ class FairAllocation(AllocationPolicy):
         """
         if self.joint_solver == "dense":
             return self._solve_cohort_dense(cohort, loads)
-        return self._solve_cohort_scsp(broker, cohort, loads, round_id)
+        return self._solve_cohort_scsp(cohort, loads, round_id)
 
     def _solve_cohort_dense(
         self, cohort: List[_Member], loads: Dict[str, int]
@@ -498,7 +497,6 @@ class FairAllocation(AllocationPolicy):
 
     def _solve_cohort_scsp(
         self,
-        broker: Broker,
         cohort: List[_Member],
         loads: Dict[str, int],
         round_id: int,
@@ -551,7 +549,7 @@ class FairAllocation(AllocationPolicy):
             name=f"fair-round-{round_id}",
         )
         problem = SCSP([constraint], name=f"fair-round-{round_id}")
-        result = solve(problem, backend=broker.solver_backend)
+        result = solve(problem)
         assignment = result.best_assignment
         assert assignment is not None
         return [

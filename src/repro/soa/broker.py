@@ -157,13 +157,7 @@ class Broker:
 
     ``solve_cache`` (on by default) memoizes candidate-SCSP solves under
     a canonical problem fingerprint, so a market's repeated negotiations
-    hit warm entries instead of re-running the solver;
-    ``solver_backend`` selects the factor representation
-    (``auto``/``dict``/``dense``, see :mod:`repro.solver.kernels`);
-    ``store_backend`` selects the constraint-store representation for
-    acceptance checks and nmsccp confirmation runs
-    (``auto``/``monolith``/``factored``, see
-    :mod:`repro.constraints.store`); ``batching`` (a
+    hit warm entries instead of re-running the solver; ``batching`` (a
     :class:`~repro.runtime.batching.BatchConfig` or a prebuilt
     :class:`~repro.runtime.batching.BatchScheduler`) coalesces
     concurrent candidate solves sharing one constraint topology into
@@ -197,8 +191,6 @@ class Broker:
         bus: Optional[MessageBus] = None,
         name: str = "broker",
         solve_cache: bool = True,
-        solver_backend: str = "auto",
-        store_backend: Optional[str] = None,
         batching: Optional[Any] = None,
         allocation_policy: Optional[Any] = None,
         rounds: Optional[Any] = None,
@@ -211,8 +203,6 @@ class Broker:
         self.solve_cache: Optional[SolveCache] = (
             SolveCache() if solve_cache else None
         )
-        self.solver_backend = solver_backend
-        self.store_backend = store_backend
         self.batcher = None
         if batching is not None:
             # Deferred import: repro.runtime imports this module.
@@ -275,7 +265,7 @@ class Broker:
             bus.register(self.ENDPOINT)
 
     def _solve(self, problem: SCSP, **options) -> Any:
-        """One SCSP solve through the broker's cache and backend.
+        """One SCSP solve through the broker's cache.
 
         With batching enabled, plain candidate solves (no method
         override) go through the :class:`BatchScheduler`, coalescing
@@ -283,17 +273,8 @@ class Broker:
         (composition paths) keep the direct route.
         """
         if self.batcher is not None and not options:
-            return self.batcher.solve(
-                problem,
-                backend=self.solver_backend,
-                cache=self.solve_cache,
-            )
-        return solve(
-            problem,
-            backend=self.solver_backend,
-            cache=self.solve_cache,
-            **options,
-        )
+            return self.batcher.solve(problem, cache=self.solve_cache)
+        return solve(problem, cache=self.solve_cache, **options)
 
     def _compile_offer(
         self,
@@ -628,10 +609,10 @@ class Broker:
         ).observe(time.perf_counter() - started)
 
         if request.acceptance is not None:
-            # Told factor by factor: on the factored backend the store
-            # stays a factor set and the acceptance check routes through
-            # the solver instead of materializing the union scope.
-            store = empty_store(semiring, backend=self.store_backend)
+            # Told factor by factor: the factored store stays a factor
+            # set and the acceptance check routes through the solver
+            # instead of materializing the union scope.
+            store = empty_store(semiring)
             for constraint in constraints:
                 store = store.tell(constraint)
             accepted = request.acceptance.holds(store)
@@ -667,7 +648,6 @@ class Broker:
             [provider, client],
             semiring,
             verify_scheduler_independence=True,
-            store_backend=self.store_backend,
         )
 
     def _sign(

@@ -191,9 +191,7 @@ class SLAMonitor:
             return 0.0
         return len(self.violations) / self._observed
 
-    def covered_by_agreement(
-        self, constraint: SoftConstraint, store_backend: Optional[str] = None
-    ) -> bool:
+    def covered_by_agreement(self, constraint: SoftConstraint) -> bool:
         """Whether a proposed tightening is already guaranteed.
 
         Rebuilds the agreed store (``SLA.as_store``) and asks ``σ ⊑ c``
@@ -201,4 +199,4 @@ class SLAMonitor:
         means a renegotiation for ``constraint`` would be a no-op, so the
         monitor can suppress the escalation.
         """
-        return self.sla.as_store(backend=store_backend).entails(constraint)
+        return self.sla.as_store().entails(constraint)

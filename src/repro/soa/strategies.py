@@ -137,7 +137,6 @@ def alternating_offers(
     semiring: Semiring,
     parties: Sequence[Tactic],
     deadline: int,
-    store_backend: Optional[str] = None,
 ) -> ProtocolOutcome:
     """Run the rounds until every acceptance interval holds, or time out.
 
@@ -159,7 +158,7 @@ def alternating_offers(
             for p in parties
         ]
         merged = combine(list(offers), semiring=semiring)
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
         for offer in offers:
             store = store.tell(offer)
         consistency = store.consistency()

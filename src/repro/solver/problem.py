@@ -173,7 +173,7 @@ def record_solve_metrics(
         "solver_solves_total", "Finished SCSP solves.", labels
     ).labels(method).inc()
     registry.counter(
-        "solver_backend_solves_total",
+        "solver_kernel_solves_total",
         "Finished SCSP solves by backend representation.",
         labelnames=("method", "backend"),
     ).labels(method, backend).inc()

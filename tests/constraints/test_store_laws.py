@@ -220,19 +220,10 @@ class TestBackendSelection:
         with pytest.raises(StoreError):
             empty_store(weighted, backend="quantum")
 
-    def test_default_backend_switch(self, weighted):
-        from repro.constraints.store import (
-            MonolithStore,
-            get_default_store_backend,
-            set_default_store_backend,
-        )
+    def test_default_backend_is_factored(self, weighted):
+        from repro.constraints.store import FactoredStore
 
-        previous = get_default_store_backend()
-        try:
-            set_default_store_backend("monolith")
-            assert isinstance(empty_store(weighted), MonolithStore)
-        finally:
-            set_default_store_backend(previous)
+        assert isinstance(empty_store(weighted), FactoredStore)
 
     def test_factored_tell_shares_tail(self, weighted):
         x = variable("x", ["a", "b"])

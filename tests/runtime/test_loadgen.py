@@ -1,5 +1,9 @@
 """Load generation: percentiles, profiles, open/closed loops."""
 
+import asyncio
+import random
+import time
+
 import pytest
 
 from repro.runtime import (
@@ -8,6 +12,7 @@ from repro.runtime import (
     LoadProfile,
     RuntimeConfig,
     RuntimeServer,
+    SessionResult,
     SessionStatus,
     percentile,
     summarize,
@@ -105,6 +110,39 @@ class TestOpenLoop:
             ]
 
         assert one_run() == one_run()
+
+
+class _SlowSubmitServer:
+    """Admits each request after a fixed blocking cost, answering at once."""
+
+    started = True
+
+    def __init__(self, cost_s):
+        self.cost_s = cost_s
+
+    def submit(self, request):
+        time.sleep(self.cost_s)
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(
+            SessionResult(request, SessionStatus.COMPLETED, attempts=1)
+        )
+        return future
+
+
+class TestOpenLoopPacing:
+    def test_submit_cost_does_not_delay_later_arrivals(self):
+        requests, rate, cost_s, seed = 50, 100.0, 0.004, 3
+        gaps = random.Random(seed)
+        scheduled = sum(gaps.expovariate(rate) for _ in range(requests))
+        profile = LoadProfile(
+            clients=5, requests=requests, mode="open", rate=rate, seed=seed
+        )
+        report = LoadGenerator(_SlowSubmitServer(cost_s), profile).run_sync()
+        assert report.completed == requests
+        # Paced by absolute due times the run ends near the seeded
+        # schedule; sleeping a fresh gap after each submit would add
+        # requests · cost_s (0.2 s) on top.
+        assert report.duration_s < scheduled + requests * cost_s / 2
 
 
 class TestClosedLoop:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.constraints import ConstantConstraint
+from repro.constraints import ConstantConstraint, empty_store
 from repro.semirings import ProbabilisticSemiring, WeightedSemiring
 from repro.soa import SLA, SLAError, SLARepository, SLAViolation
 
@@ -21,9 +21,18 @@ def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
 
 class TestAsStore:
     @pytest.mark.parametrize("backend", ["monolith", "factored"])
-    def test_rebuilds_the_agreed_store(self, backend):
+    def test_rebuilds_the_agreed_store(self, monkeypatch, backend):
+        """The factored product store and the monolith oracle (swapped
+        in for the ``empty_store`` the SLA builds from) agree."""
+        import repro.soa.sla as sla_module
+
+        monkeypatch.setattr(
+            sla_module,
+            "empty_store",
+            lambda semiring: empty_store(semiring, backend=backend),
+        )
         sla = make_sla(level=0.8)
-        store = sla.as_store(backend=backend)
+        store = sla.as_store()
         assert store.backend == backend
         assert store.consistency() == 0.8
         assert store.entails(

@@ -13,6 +13,7 @@ import pytest
 from repro.constraints import (
     ConstantConstraint,
     Polynomial,
+    clear_store_caches,
     integer_variable,
     polynomial_constraint,
 )
@@ -92,6 +93,15 @@ def request_for_filter():
     )
 
 
+@pytest.fixture
+def cold_store_caches():
+    """Empty the process-wide store caches, so a test counting solves
+    sees the acceptance-store solves whatever ran before it."""
+    clear_store_caches()
+    yield
+    clear_store_caches()
+
+
 def counter_total(registry, name):
     metric = registry.get(name)
     if metric is None:
@@ -128,6 +138,7 @@ class TestBrokerRequestTelemetry:
         step5 = root.children[4]
         assert step5.attributes["sla_id"] == result.sla.sla_id
 
+    @pytest.mark.usefixtures("cold_store_caches")
     def test_solver_and_broker_counters_are_nonzero(
         self, market, request_for_filter
     ):
@@ -136,7 +147,9 @@ class TestBrokerRequestTelemetry:
             broker.negotiate(request_for_filter)
         registry = session.registry
 
-        assert counter_total(registry, "solver_solves_total") == 3
+        # cold store caches: 3 candidate solves plus 3 acceptance-store
+        # consistency solves, one per candidate
+        assert counter_total(registry, "solver_solves_total") == 6
         # requirement ⊗ offer nest (both over x), so auto answers each
         # candidate on one dense array: all 11 leaves of x ∈ 0..10
         # evaluated, no search node expanded
@@ -146,7 +159,7 @@ class TestBrokerRequestTelemetry:
         assert registry.get("solver_prunes_total") is not None
         assert registry.get("solver_solve_seconds").labels(
             "elimination"
-        ).count == 3
+        ).count == 6
 
         requests = registry.get("broker_requests_total")
         assert requests.labels("success").value == 1
