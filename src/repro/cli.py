@@ -66,11 +66,18 @@ from .telemetry import (
 _session: Optional[TelemetrySession] = None
 
 
+def _bad_input(message: str) -> SystemExit:
+    """Print ``error: message`` on stderr and return the exit-2 (bad
+    input) ``SystemExit`` for the caller to raise."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _read_json(path: str) -> Any:
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        raise _bad_input(f"cannot read {path}: {exc}")
 
 
 def _emit(payload: Dict[str, Any]) -> None:
@@ -156,17 +163,32 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     return 0 if solution.found and solution.stable else 1
 
 
+def _field(entry: Dict[str, Any], key: str, what: str) -> Any:
+    """``entry[key]`` of a market spec; a missing key is a typed
+    :class:`~repro.serialization.SerializationError`."""
+    try:
+        return entry[key]
+    except (KeyError, TypeError):
+        raise serialization.SerializationError(
+            f"market {what} has no {key!r} entry"
+        ) from None
+
+
 def _market_registry(market: Dict[str, Any]) -> ServiceRegistry:
     """Publish every service of a market spec into a fresh registry."""
     registry = ServiceRegistry()
     for entry in market.get("services", []):
-        document = serialization.qos_document_from_dict(entry["qos"])
+        document = serialization.qos_document_from_dict(
+            _field(entry, "qos", "service")
+        )
         registry.publish(
             ServiceDescription(
-                service_id=entry["service_id"],
+                service_id=_field(entry, "service_id", "service"),
                 name=entry.get("name", document.service_name),
                 provider=document.provider,
-                interface=ServiceInterface(operation=entry["operation"]),
+                interface=ServiceInterface(
+                    operation=_field(entry, "operation", "service")
+                ),
                 qos=document,
                 tags=tuple(entry.get("tags", ())),
             )
@@ -176,10 +198,12 @@ def _market_registry(market: Dict[str, Any]) -> ServiceRegistry:
 
 def _market_request(market: Dict[str, Any]) -> ClientRequest:
     """The client request of a market spec."""
-    spec = market["request"]
+    spec = _field(market, "request", "spec")
     from .soa.qos import resolve_attribute
 
-    semiring = resolve_attribute(spec["attribute"]).semiring()
+    attribute = _field(spec, "attribute", "request")
+    operation = _field(spec, "operation", "request")
+    semiring = resolve_attribute(attribute).semiring()
     acceptance = None
     if "acceptance" in spec:
         acceptance = CheckSpec(
@@ -193,16 +217,16 @@ def _market_request(market: Dict[str, Any]) -> ClientRequest:
         )
     return ClientRequest(
         client=spec.get("client", "cli"),
-        operation=spec["operation"],
-        attribute=spec["attribute"],
+        operation=operation,
+        attribute=attribute,
         acceptance=acceptance,
     )
 
 
 def _load_market(path: str) -> Dict[str, Any]:
     market = _read_json(path)
-    if market.get("kind") != "market":
-        raise SystemExit("error: payload is not a market spec")
+    if not isinstance(market, dict) or market.get("kind") != "market":
+        raise _bad_input("payload is not a market spec")
     return market
 
 
@@ -294,17 +318,13 @@ def _build_injector(
         try:
             start, length = (int(p) for p in args.fault_outage.split(":"))
         except ValueError:
-            raise SystemExit(
-                "error: --fault-outage expects START:LENGTH (integers)"
-            )
+            raise _bad_input("--fault-outage expects START:LENGTH (integers)")
         models.append(BurstOutage(start, length))
     if args.fault_delay is not None:
         try:
             prob, extra_ms = (float(p) for p in args.fault_delay.split(":"))
         except ValueError:
-            raise SystemExit(
-                "error: --fault-delay expects PROB:MILLISECONDS"
-            )
+            raise _bad_input("--fault-delay expects PROB:MILLISECONDS")
         models.append(RandomDelay(prob, extra_ms))
     if not models:
         return None
@@ -602,8 +622,8 @@ def _slo_plan(args: argparse.Namespace, market: Dict[str, Any]):
         return make_pipeline(*args.pipeline.split(","))
     if "plan" in market:
         return serialization.plan_from_dict(market["plan"])
-    raise SystemExit(
-        "error: no plan to analyze — pass --plan PATH or "
+    raise _bad_input(
+        "no plan to analyze — pass --plan PATH or "
         "--pipeline IDS, or add a 'plan' entry to the market spec"
     )
 
@@ -662,7 +682,7 @@ def cmd_dlq(args: argparse.Namespace) -> int:
         )
         return 0
     if args.market is None:
-        raise SystemExit("error: replay requires --market")
+        raise _bad_input("replay requires --market")
     market = _load_market(args.market)
     registry = _market_registry(market)
     broker = _broker(args, registry)
@@ -1209,10 +1229,16 @@ def main(argv=None) -> int:
         with telemetry_session() as session:
             _session = session
             code = args.fn(args)
-            if trace_out:
-                write_trace_jsonl(trace_out, session.tracer, session.events)
-            if prometheus_out:
-                write_prometheus(prometheus_out, session.registry)
+            try:
+                if trace_out:
+                    write_trace_jsonl(
+                        trace_out, session.tracer, session.events
+                    )
+                if prometheus_out:
+                    write_prometheus(prometheus_out, session.registry)
+            except OSError as exc:
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+                return 2
             return code
     except serialization.SerializationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ on a per-entry event and receive their result (or the batch's
 exception) when the leader finishes; results are fanned back in
 submission order, and because every batched operation is the
 per-instance operation broadcast across the batch axis, each session's
-agreement is bit-identical to an unbatched run at any batch size.
+agreement is bit-identical to an unbatched run at any batch size.  The
+same coalescer, keyed by market instead of topology, backs
+:class:`RoundScheduler`'s allocation rounds.
 
 Lowerable problems are routed through bucket elimination (the batchable
 method) whether or not they end up sharing a batch, so a scheduler's
@@ -33,6 +35,7 @@ and written back per member after the sweep.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -85,26 +88,19 @@ class BatchConfig:
 
 
 class _Entry:
-    """One session's queued solve."""
+    """One caller's queued item and, once dispatched, its outcome."""
 
-    __slots__ = ("problem", "key", "cache", "done", "result", "error")
+    __slots__ = ("item", "done", "result", "error")
 
-    def __init__(
-        self,
-        problem: SCSP,
-        key: Optional[str],
-        cache: Optional[SolveCache],
-    ) -> None:
-        self.problem = problem
-        self.key = key
-        self.cache = cache
+    def __init__(self, item: Any) -> None:
+        self.item = item
         self.done = threading.Event()
-        self.result: Optional[SolverResult] = None
+        self.result: Any = None
         self.error: Optional[BaseException] = None
 
 
 class _Group:
-    """One open coalescing window for one topology fingerprint."""
+    """One open coalescing window for one key."""
 
     __slots__ = ("entries", "full")
 
@@ -113,7 +109,96 @@ class _Group:
         self.full = threading.Event()
 
 
-class BatchScheduler:
+class _Coalescer:
+    """Keyed leader/follower coalescing, shared by both schedulers.
+
+    The first caller for a key leads a new group; later callers with the
+    same key join it, all under one lock.  The group closes when
+    ``max_batch`` callers fill it or the leader's ``window_ms`` wait
+    expires, and the leader runs :meth:`_dispatch` on the closed group's
+    items from its own thread.  Results go back in submission order; an
+    exception from the dispatch reaches every member, and a dispatch
+    returning too few results fails the members it left out instead of
+    stranding them.  Subclasses supply the key, the dispatch, and
+    whatever routing happens before :meth:`_coalesce`.
+    """
+
+    def __init__(self, config: Optional[BatchConfig] = None) -> None:
+        self.config = config or BatchConfig()
+        self._lock = threading.Lock()
+        self._groups: Dict[Any, _Group] = {}
+
+    def _dispatch(self, items: List[Any]) -> List[Any]:
+        """One call for a closed group: a result per item, in order."""
+        raise NotImplementedError
+
+    def _joined(self, leader: bool) -> None:
+        """Hook: the caller led a new group (or joined an open one)."""
+
+    def _close(self, key: Any, group: _Group) -> None:
+        """Stop ``group`` taking members (caller holds the lock)."""
+        if self._groups.get(key) is group:
+            del self._groups[key]
+
+    def _coalesce(self, key: Any, item: Any) -> Any:
+        """Queue ``item`` under ``key`` and return its own result."""
+        entry = _Entry(item)
+        with self._lock:
+            group = self._groups.get(key)
+            leader = group is None
+            if leader:
+                group = self._groups[key] = _Group()
+            group.entries.append(entry)
+            if len(group.entries) >= self.config.max_batch:
+                self._close(key, group)
+                group.full.set()
+        self._joined(leader)
+        if leader:
+            self._lead(key, group)
+        else:
+            entry.done.wait()
+        if entry.error is not None:
+            raise entry.error
+        return entry.result
+
+    def _lead(self, key: Any, group: _Group) -> None:
+        """Wait out the window, close ``group``, dispatch it on this
+        thread and hand every member its outcome."""
+        entries = group.entries
+        try:
+            group.full.wait(self.config.window_ms / 1000.0)
+            with self._lock:
+                self._close(key, group)
+            results = self._dispatch([queued.item for queued in entries])
+        except BaseException as exc:
+            self._fail(entries, exc)
+            raise
+        for queued, result in zip(entries, results):
+            queued.result = result
+            queued.done.set()
+        if len(results) < len(entries):
+            self._fail(
+                entries,
+                BatchingError(
+                    f"dispatch returned fewer results ({len(results)}) "
+                    f"than sessions in the group ({len(entries)})"
+                ),
+            )
+
+    @staticmethod
+    def _fail(entries: List[_Entry], error: BaseException) -> None:
+        """Give ``error`` to every member still waiting."""
+        for queued in entries:
+            if not queued.done.is_set():
+                queued.error = error
+                queued.done.set()
+
+    def _open_groups(self) -> int:
+        with self._lock:
+            return len(self._groups)
+
+
+class BatchScheduler(_Coalescer):
     """Coalesces concurrent solves by topology into stacked sweeps.
 
     Thread-safe and passive: it owns no threads, so there is nothing to
@@ -124,9 +209,7 @@ class BatchScheduler:
     """
 
     def __init__(self, config: Optional[BatchConfig] = None) -> None:
-        self.config = config or BatchConfig()
-        self._lock = threading.Lock()
-        self._groups: Dict[str, _Group] = {}
+        super().__init__(config)
         #: Plain counters mirrored into telemetry (readable when the
         #: registry is disabled — benchmarks assert on these).
         self.batches_dispatched = 0
@@ -169,71 +252,31 @@ class BatchScheduler:
             self._count("solo")
             return solve(problem, method="elimination", cache=cache)
 
-        fingerprint = topology_fingerprint(problem)
-        entry = _Entry(problem, key, cache)
-        with self._lock:
-            group = self._groups.get(fingerprint)
-            leader = group is None
-            if leader:
-                group = _Group()
-                self._groups[fingerprint] = group
-            group.entries.append(entry)
-            if len(group.entries) >= self.config.max_batch:
-                if self._groups.get(fingerprint) is group:
-                    del self._groups[fingerprint]
-                group.full.set()
-
-        if not leader:
-            self._count("join")
-            entry.done.wait()
-            if entry.error is not None:
-                raise entry.error
-            assert entry.result is not None
-            return entry.result
-
-        self._count("lead")
-        try:
-            group.full.wait(self.config.window_ms / 1000.0)
-            with self._lock:
-                if self._groups.get(fingerprint) is group:
-                    del self._groups[fingerprint]
-                entries = list(group.entries)
-            self._execute(entries)
-        except BaseException as exc:
-            for queued in group.entries:
-                if not queued.done.is_set():
-                    queued.error = exc
-                    queued.done.set()
-            raise
-        if entry.error is not None:
-            raise entry.error
-        assert entry.result is not None
-        return entry.result
+        return self._coalesce(
+            topology_fingerprint(problem), (problem, key, cache)
+        )
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _execute(self, entries: List[_Entry]) -> None:
-        """One stacked solve for a closed group, fanned back in
-        submission order."""
-        problems = [queued.problem for queued in entries]
-        try:
-            results = solve_elimination_batch(problems)
-        except BaseException as exc:
-            for queued in entries:
-                queued.error = exc
-                queued.done.set()
-            return
-        self.batches_dispatched += 1
-        self.sessions_batched += len(entries)
-        self.largest_batch = max(self.largest_batch, len(entries))
-        self._observe(len(entries))
-        for queued, result in zip(entries, results):
-            if queued.cache is not None and queued.key is not None:
-                queued.cache.store(queued.key, result)
-            queued.result = result
-            queued.done.set()
+    def _joined(self, leader: bool) -> None:
+        self._count("lead" if leader else "join")
+
+    def _dispatch(self, items: List[Any]) -> List[SolverResult]:
+        """One stacked solve for a closed group; each member's result is
+        written back to its own solve cache."""
+        results = solve_elimination_batch([problem for problem, _, _ in items])
+        # Leaders of different groups dispatch concurrently.
+        with self._lock:
+            self.batches_dispatched += 1
+            self.sessions_batched += len(items)
+            self.largest_batch = max(self.largest_batch, len(items))
+        self._observe(len(items))
+        for (_, key, cache), result in zip(items, results):
+            if cache is not None and key is not None:
+                cache.store(key, result)
+        return results
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -266,13 +309,11 @@ class BatchScheduler:
         """Dispatch counters (batches, sessions, largest batch, open
         groups) — one row for ``FleetFrontend.cache_stats``-style
         introspection."""
-        with self._lock:
-            open_groups = len(self._groups)
         return {
             "batches_dispatched": self.batches_dispatched,
             "sessions_batched": self.sessions_batched,
             "largest_batch": self.largest_batch,
-            "open_groups": open_groups,
+            "open_groups": self._open_groups(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -283,32 +324,16 @@ class BatchScheduler:
         )
 
 
-class _RoundEntry:
-    """One session queued into an allocation round."""
-
-    __slots__ = ("request", "verify", "done", "result", "error")
-
-    def __init__(self, request: Any, verify: bool) -> None:
-        self.request = request
-        self.verify = verify
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-
-
-class RoundScheduler:
+class RoundScheduler(_Coalescer):
     """Coalesces concurrent negotiations into allocation rounds.
 
-    Same leader/follower machinery as :class:`BatchScheduler`, one
-    level up the stack: where the batcher coalesces *solves* by
-    constraint topology, this coalesces *sessions* by market — the
-    group key is ``(operation, attribute, verify)``, so every client
-    competing for the same kind of service within one window lands in
-    one round and the broker's allocation policy assigns their
-    providers jointly (``Broker.negotiate_round``).  Passive and
-    thread-safe: the first arrival leads, waits out ``window_ms`` (or
-    until ``max_batch`` sessions fill the round), then runs the round
-    on its own worker thread and fans results back in submission order.
+    The same coalescer as :class:`BatchScheduler`, one level up the
+    stack: where the batcher coalesces *solves* by constraint topology,
+    this coalesces *sessions* by market — the group key is
+    ``(operation, attribute, verify)``, so every client competing for
+    the same kind of service within one window lands in one round and
+    the broker's allocation policy assigns their providers jointly
+    (``Broker.negotiate_round``, called on the leader's broker).
 
     With a greedy policy a round of any size reproduces the unbatched
     per-session agreements exactly; the round is where the *fair*
@@ -316,10 +341,8 @@ class RoundScheduler:
     """
 
     def __init__(self, config: Optional[BatchConfig] = None) -> None:
-        self.config = config or BatchConfig()
-        self._lock = threading.Lock()
-        self._groups: Dict[Any, _Group] = {}
-        self._round_seq = 0
+        super().__init__(config)
+        self._round_ids = itertools.count(1)
         #: Plain counters mirrored into telemetry.
         self.rounds_dispatched = 0
         self.sessions_rounded = 0
@@ -330,87 +353,28 @@ class RoundScheduler:
     ) -> Any:
         """Serve one session, coalescing with concurrent same-market
         callers into a single allocation round."""
-        if self.config.max_batch == 1:
-            return self._dispatch(broker, [_RoundEntry(request, verify)])
+        key = (request.operation, request.attribute, bool(verify))
+        return self._coalesce(key, (broker, request, verify))
 
-        fingerprint = (request.operation, request.attribute, bool(verify))
-        entry = _RoundEntry(request, verify)
+    def _dispatch(self, items: List[Any]) -> List[Any]:
+        broker, _, verify = items[0]
+        results = broker.negotiate_round(
+            [request for _, request, _ in items],
+            verify_scheduler_independence=verify,
+            round_id=next(self._round_ids),
+        )
         with self._lock:
-            group = self._groups.get(fingerprint)
-            leader = group is None
-            if leader:
-                group = _Group()
-                self._groups[fingerprint] = group
-            group.entries.append(entry)  # type: ignore[arg-type]
-            if len(group.entries) >= self.config.max_batch:
-                if self._groups.get(fingerprint) is group:
-                    del self._groups[fingerprint]
-                group.full.set()
-
-        if not leader:
-            entry.done.wait()
-            if entry.error is not None:
-                raise entry.error
-            return entry.result
-
-        group.full.wait(self.config.window_ms / 1000.0)
-        with self._lock:
-            if self._groups.get(fingerprint) is group:
-                del self._groups[fingerprint]
-            entries = list(group.entries)
-        return self._dispatch(broker, entries, lead=entry)
-
-    def _dispatch(
-        self,
-        broker: Any,
-        entries: List[Any],
-        lead: Optional[_RoundEntry] = None,
-    ) -> Any:
-        """Run one closed round and fan results back in submission
-        order; ``lead`` (when set) is the caller's own entry."""
-        lead = lead if lead is not None else entries[0]
-        with self._lock:
-            self._round_seq += 1
-            round_id = self._round_seq
-        try:
-            results = broker.negotiate_round(
-                [queued.request for queued in entries],
-                verify_scheduler_independence=entries[0].verify,
-                round_id=round_id,
-            )
-        except BaseException as exc:
-            for queued in entries:
-                if not queued.done.is_set():
-                    queued.error = exc
-                    queued.done.set()
-            raise
-        self.rounds_dispatched += 1
-        self.sessions_rounded += len(entries)
-        self.largest_round = max(self.largest_round, len(entries))
-        for queued, result in zip(entries, results):
-            queued.result = result
-            queued.done.set()
-        for queued in entries:
-            # A policy returning too few results must not strand
-            # followers on their event.
-            if not queued.done.is_set():
-                queued.error = BatchingError(
-                    "allocation policy returned fewer results than "
-                    "sessions in the round"
-                )
-                queued.done.set()
-        if lead.error is not None:
-            raise lead.error
-        return lead.result
+            self.rounds_dispatched += 1
+            self.sessions_rounded += len(items)
+            self.largest_round = max(self.largest_round, len(items))
+        return results
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            open_groups = len(self._groups)
         return {
             "rounds_dispatched": self.rounds_dispatched,
             "sessions_rounded": self.sessions_rounded,
             "largest_round": self.largest_round,
-            "open_groups": open_groups,
+            "open_groups": self._open_groups(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -152,6 +152,25 @@ class MulticriteriaResult:
         )
 
 
+def _scheduler(name: str, value: Any, kind: str) -> Any:
+    """The coalescing scheduler ``kind`` (a class of
+    :mod:`repro.runtime.batching`) for the ``name`` argument: a prebuilt
+    one as is, else one built from a ``BatchConfig`` (``None`` = the
+    default window)."""
+    # Deferred import: repro.runtime imports this module.
+    from ..runtime import batching
+
+    scheduler_type = getattr(batching, kind)
+    if isinstance(value, scheduler_type):
+        return value
+    if value is None or isinstance(value, batching.BatchConfig):
+        return scheduler_type(value)
+    raise BrokerError(
+        f"{name} must be a BatchConfig or {kind}, "
+        f"got {type(value).__name__}"
+    )
+
+
 class Broker:
     """The negotiation orchestrator with an embedded SCSP solver.
 
@@ -205,18 +224,7 @@ class Broker:
         )
         self.batcher = None
         if batching is not None:
-            # Deferred import: repro.runtime imports this module.
-            from ..runtime.batching import BatchConfig, BatchScheduler
-
-            if isinstance(batching, BatchScheduler):
-                self.batcher = batching
-            elif isinstance(batching, BatchConfig):
-                self.batcher = BatchScheduler(batching)
-            else:
-                raise BrokerError(
-                    "batching must be a BatchConfig or BatchScheduler, "
-                    f"got {type(batching).__name__}"
-                )
+            self.batcher = _scheduler("batching", batching, "BatchScheduler")
         self.allocation_policy = None
         self.rounds = None
         if allocation_policy is not None:
@@ -226,27 +234,12 @@ class Broker:
             self.allocation_policy = resolve_allocation_policy(
                 allocation_policy
             )
-            from ..runtime.batching import BatchConfig, RoundScheduler
-
-            if isinstance(rounds, RoundScheduler):
-                self.rounds = rounds
-            elif isinstance(rounds, BatchConfig):
-                self.rounds = RoundScheduler(rounds)
-            elif rounds is None:
+            if rounds is None and self.batcher is not None:
                 # Allocation rounds ride the same coalescing windows the
                 # solver batcher uses, so one --batch-window flag tunes
                 # both; without a batcher, a default window applies.
-                config = (
-                    self.batcher.config
-                    if self.batcher is not None
-                    else BatchConfig()
-                )
-                self.rounds = RoundScheduler(config)
-            else:
-                raise BrokerError(
-                    "rounds must be a BatchConfig or RoundScheduler, "
-                    f"got {type(rounds).__name__}"
-                )
+                rounds = self.batcher.config
+            self.rounds = _scheduler("rounds", rounds, "RoundScheduler")
         elif rounds is not None:
             raise BrokerError(
                 "rounds requires an allocation_policy to dispatch to"

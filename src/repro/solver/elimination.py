@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from ..constraints.variables import Variable, assignment_space_size
 from ..telemetry import get_tracer
 from .heuristics import OrderingFn, resolve_ordering
 from .kernels import (
-    BatchDenseFactor,
     DenseFactor,
     KernelError,
     Lowering,
@@ -162,99 +161,70 @@ def _eliminate(
     backend: str,
     bucket_cache: Optional[BucketCache],
 ) -> tuple["DenseFactor | TableConstraint", SolverStats]:
-    """:func:`eliminate`, leaving a dense ``Sol(P)`` as its array."""
-    semiring = problem.semiring
-    stats = SolverStats()
-    con_set = set(problem.con)
+    """:func:`eliminate`, leaving a dense ``Sol(P)`` as its array.
 
+    The dict path keeps its own table ``⊗``/``⇓``, so the dense≡dict
+    suites compare two implementations of the operators over one
+    schedule.
+    """
+    semiring = problem.semiring
     try:
         lowering = resolve_lowering(semiring, backend)
     except KernelError as exc:
         raise ProblemError(str(exc)) from None
+    if lowering is not None:
+        return _bucket_schedule(
+            problem,
+            ordering,
+            [
+                DenseFactor.from_constraint(c, lowering)
+                for c in problem.constraints
+            ],
+            combine_factors,
+            DenseFactor.hide,
+            bucket_cache,
+            "dense",
+        )
+    solution, stats = _bucket_schedule(
+        problem,
+        ordering,
+        [to_table(c) for c in problem.constraints],
+        lambda bucket: combine(bucket, semiring=semiring),
+        lambda combined, name: to_table(combined.hide(name)),
+        bucket_cache,
+        "dict",
+    )
+    return to_table(solution), stats
 
-    order_fn = resolve_ordering(ordering)
+
+def _bucket_schedule(
+    problem: SCSP,
+    ordering: str | OrderingFn,
+    pool: List[Any],
+    combine_all: Callable[[List[Any]], Any],
+    hide: Callable[[Any, str], Any],
+    bucket_cache: Optional[BucketCache] = None,
+    label: str = "dense",
+) -> tuple[Any, SolverStats]:
+    """The bucket schedule, written once for every factor representation.
+
+    ``pool`` holds ``problem``'s constraints in one representation (dict
+    tables, dense factors, or batch-stacked dense factors), and
+    ``combine_all``/``hide`` are that representation's ``⊗`` over a
+    bucket and ``∃x``.  Each non-interest variable, in ``ordering``, is
+    eliminated by combining the factors that mention it and hiding it.
+    With a ``bucket_cache`` every bucket is first looked up under its
+    Merkle key (``label`` keeps representations apart) and stored after
+    it is computed.  Returns ``(⊗ pool) ⇓ con`` and the work statistics.
+    """
+    stats = SolverStats()
+    con_set = set(problem.con)
     to_eliminate = [
         var
-        for var in order_fn(problem.variables, problem.constraints)
-        if var.name not in con_set
-    ]
-    solution: "DenseFactor | TableConstraint"
-    if lowering is not None:
-        solution = _eliminate_dense(
-            problem, to_eliminate, lowering, stats, bucket_cache
+        for var in resolve_ordering(ordering)(
+            problem.variables, problem.constraints
         )
-    else:
-        solution = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
-    stats.largest_intermediate = max(
-        stats.largest_intermediate, assignment_space_size(solution.scope)
-    )
-    return solution, stats
-
-
-def _eliminate_dict(
-    problem: SCSP,
-    to_eliminate: List[Variable],
-    stats: SolverStats,
-    bucket_cache: Optional[BucketCache] = None,
-) -> TableConstraint:
-    """The reference dict-of-tuples bucket schedule."""
-    semiring = problem.semiring
-    pool: List[TableConstraint] = [to_table(c) for c in problem.constraints]
-    digests: Optional[Dict[int, str]] = None
-    if bucket_cache is not None:
-        digests = {
-            id(factor): constraint_digest(constraint)
-            for factor, constraint in zip(pool, problem.constraints)
-        }
-    for var in to_eliminate:
-        bucket = [c for c in pool if var.name in c.support]
-        rest = [c for c in pool if var.name not in c.support]
-        if not bucket:
-            continue
-        stats.buckets_processed += 1
-        eliminated = None
-        key = None
-        if digests is not None:
-            key = _bucket_key(
-                "dict",
-                semiring,
-                var.name,
-                [digests[id(c)] for c in bucket],
-            )
-            hit = bucket_cache.get(key)
-            if hit is not None:
-                eliminated, combined_size = hit
-                stats.buckets_reused += 1
-                stats.largest_intermediate = max(
-                    stats.largest_intermediate, combined_size
-                )
-        if eliminated is None:
-            combined = combine(bucket, semiring=semiring)
-            combined_size = assignment_space_size(combined.scope)
-            stats.largest_intermediate = max(
-                stats.largest_intermediate, combined_size
-            )
-            eliminated = to_table(combined.hide(var.name))
-            if key is not None:
-                bucket_cache.put(key, (eliminated, combined_size))
-        if digests is not None:
-            digests[id(eliminated)] = key
-        pool = rest + [eliminated]
-    solution = combine(pool, semiring=semiring).project(problem.con)
-    return to_table(solution)
-
-
-def _eliminate_dense(
-    problem: SCSP,
-    to_eliminate: List[Variable],
-    lowering: Lowering,
-    stats: SolverStats,
-    bucket_cache: Optional[BucketCache] = None,
-) -> DenseFactor:
-    """The same bucket schedule over broadcast ndarray factors."""
-    pool: List[DenseFactor] = [
-        DenseFactor.from_constraint(c, lowering)
-        for c in problem.constraints
+        if var.name not in con_set
     ]
     digests: Optional[Dict[int, str]] = None
     if bucket_cache is not None:
@@ -264,39 +234,41 @@ def _eliminate_dense(
         }
     for var in to_eliminate:
         bucket = [f for f in pool if var.name in f.support]
-        rest = [f for f in pool if var.name not in f.support]
         if not bucket:
             continue
+        rest = [f for f in pool if var.name not in f.support]
         stats.buckets_processed += 1
-        eliminated = None
-        key = None
+        hit = key = None
         if digests is not None:
             key = _bucket_key(
-                "dense",
+                label,
                 problem.semiring,
                 var.name,
                 [digests[id(f)] for f in bucket],
             )
             hit = bucket_cache.get(key)
             if hit is not None:
-                eliminated, combined_size = hit
                 stats.buckets_reused += 1
-                stats.largest_intermediate = max(
-                    stats.largest_intermediate, combined_size
-                )
-        if eliminated is None:
-            combined = combine_factors(bucket)
-            combined_size = assignment_space_size(combined.scope)
-            stats.largest_intermediate = max(
-                stats.largest_intermediate, combined_size
+        if hit is None:
+            combined = combine_all(bucket)
+            hit = (
+                hide(combined, var.name),
+                assignment_space_size(combined.scope),
             )
-            eliminated = combined.hide(var.name)
             if key is not None:
-                bucket_cache.put(key, (eliminated, combined_size))
+                bucket_cache.put(key, hit)
+        eliminated, combined_size = hit
+        stats.largest_intermediate = max(
+            stats.largest_intermediate, combined_size
+        )
         if digests is not None:
             digests[id(eliminated)] = key
         pool = rest + [eliminated]
-    return combine_factors(pool).project(problem.con)
+    solution = combine_all(pool).project(problem.con)
+    stats.largest_intermediate = max(
+        stats.largest_intermediate, assignment_space_size(solution.scope)
+    )
+    return solution, stats
 
 
 def eliminate_batch(
@@ -364,16 +336,7 @@ def _eliminate_batch(
             f"batched elimination needs a lowerable semiring; "
             f"{semiring.name} has no ufunc pair"
         )
-
-    stats = SolverStats()
-    con_set = set(head.con)
-    order_fn = resolve_ordering(ordering)
-    to_eliminate = [
-        var
-        for var in order_fn(head.variables, head.constraints)
-        if var.name not in con_set
-    ]
-    pool: List[BatchDenseFactor] = [
+    pool = [
         stack_factors(
             [
                 DenseFactor.from_constraint(p.constraints[j], lowering)
@@ -382,30 +345,10 @@ def _eliminate_batch(
         )
         for j in range(len(head.constraints))
     ]
-    for var in to_eliminate:
-        bucket = [f for f in pool if var.name in f.support]
-        rest = [f for f in pool if var.name not in f.support]
-        if not bucket:
-            continue
-        stats.buckets_processed += 1
-        combined = combine_factors(bucket)
-        stats.largest_intermediate = max(
-            stats.largest_intermediate,
-            assignment_space_size(combined.scope),
-        )
-        pool = rest + [combined.hide(var.name)]
-    solution = combine_factors(pool).project(head.con)
-    if isinstance(solution, DenseFactor):  # pragma: no cover - 1-factor pool
-        solution = stack_factors([solution] * len(problems))
-    members: List[tuple[DenseFactor, SolverStats]] = []
-    for member in solution.split():
-        member_stats = replace(stats)
-        member_stats.largest_intermediate = max(
-            member_stats.largest_intermediate,
-            assignment_space_size(member.scope),
-        )
-        members.append((member, member_stats))
-    return members
+    solution, stats = _bucket_schedule(
+        head, ordering, pool, combine_factors, DenseFactor.hide
+    )
+    return [(member, replace(stats)) for member in solution.split()]
 
 
 def _result_from_solution(

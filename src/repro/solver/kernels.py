@@ -402,7 +402,8 @@ register_stats_provider("lowering-fallbacks", lowering_fallback_stats)
 def resolve_lowering(
     semiring: Semiring, backend: str = "auto"
 ) -> Optional[Lowering]:
-    """Map a ``--solver-backend`` choice onto a lowering (or ``None``).
+    """Map a solver ``backend`` (``"auto"``, ``"dict"`` or ``"dense"``)
+    onto a lowering (or ``None``).
 
     ``"dict"`` always returns ``None``; ``"dense"`` raises
     :class:`KernelError` when the semiring does not lower; ``"auto"``
@@ -438,6 +439,11 @@ class DenseFactor:
 
     __slots__ = ("semiring", "lowering", "scope", "array")
 
+    #: Axes in front of the scope axes: none here, the batch axis in
+    #: :class:`BatchDenseFactor`.  Alignment, ``⊗`` and ``⇓`` carry them
+    #: through untouched, so one implementation serves both.
+    _lead = 0
+
     def __init__(
         self,
         lowering: Lowering,
@@ -448,6 +454,10 @@ class DenseFactor:
         self.semiring = lowering.semiring
         self.scope: Tuple[Variable, ...] = tuple(scope)
         self.array = array
+
+    def _derive(self, scope: Sequence[Variable], array: np.ndarray):
+        """A factor of this kind over ``scope`` holding ``array``."""
+        return DenseFactor(self.lowering, scope, array)
 
     # ------------------------------------------------------------------
     # Converters
@@ -535,17 +545,20 @@ class DenseFactor:
 
     def _aligned(self, scope: Tuple[Variable, ...]) -> np.ndarray:
         """A view of the array broadcastable over ``scope`` (a superset
-        of this factor's scope, in any order)."""
+        of this factor's scope, in any order), leading axes in front."""
         position = {var.name: i for i, var in enumerate(scope)}
         mine = set(self.support)
+        lead = self._lead
         order = sorted(
             range(len(self.scope)),
             key=lambda axis: position[self.scope[axis].name],
         )
         array = self.array
         if order != list(range(len(self.scope))):
-            array = array.transpose(order)
-        shape = tuple(
+            array = array.transpose(
+                [*range(lead), *(axis + lead for axis in order)]
+            )
+        shape = array.shape[:lead] + tuple(
             var.size if var.name in mine else 1 for var in scope
         )
         return array.reshape(shape)
@@ -557,24 +570,22 @@ class DenseFactor:
     def combine(self, other: "DenseFactor") -> "DenseFactor":
         """``c1 ⊗ c2`` — broadcast both arrays over the merged scope and
         apply the times-ufunc elementwise."""
-        scope = merge_scopes(self.scope, other.scope)
-        array = self.lowering.times(
-            self._aligned(scope), other._aligned(scope)
-        )
-        return DenseFactor(self.lowering, scope, array)
+        return combine_factors([self, other])
 
     def project(self, keep: Iterable[str | Variable]) -> "DenseFactor":
         """``c ⇓ keep`` — plus-ufunc reduction over the eliminated axes.
 
         Names in ``keep`` that are not in scope are ignored, mirroring
-        :meth:`SoftConstraint.project`.
+        :meth:`SoftConstraint.project`.  The plus-ufuncs are selections
+        (min/max/or, or a lexicographic pick), so the reduction is exact
+        whatever its traversal order.
         """
         keep_names = {
             item.name if isinstance(item, Variable) else item
             for item in keep
         }
         axes = tuple(
-            i
+            i + self._lead
             for i, var in enumerate(self.scope)
             if var.name not in keep_names
         )
@@ -583,8 +594,9 @@ class DenseFactor:
         kept = tuple(
             var for var in self.scope if var.name in keep_names
         )
-        array = self.lowering.plus.reduce(self.array, axis=axes)
-        return DenseFactor(self.lowering, kept, array)
+        return self._derive(
+            kept, self.lowering.plus.reduce(self.array, axis=axes)
+        )
 
     def hide(self, *names: str | Variable) -> "DenseFactor":
         """``∃x.c`` — project the named variables *out*."""
@@ -619,7 +631,7 @@ class DenseFactor:
         )
 
 
-class BatchDenseFactor:
+class BatchDenseFactor(DenseFactor):
     """B problem instances' factors over one shared scope, stacked on a
     leading batch axis.
 
@@ -629,13 +641,15 @@ class BatchDenseFactor:
     factor *shared* by every instance (e.g. one provider's offer solved
     against B different requirements) and broadcasts lazily, so stacking
     B references to one table costs no copies.  ``combine``/``project``/
-    ``hide`` are the per-instance operations broadcast across the batch
-    axis: every slice ``array[b]`` evolves exactly as the corresponding
-    standalone :class:`DenseFactor` would, which is what makes batched
+    ``hide`` are :class:`DenseFactor`'s own, with the batch axis carried
+    in front: every slice ``array[b]`` evolves exactly as the
+    corresponding standalone factor would, which is what makes batched
     solves bit-identical to B independent ones.
     """
 
-    __slots__ = ("semiring", "lowering", "scope", "array", "batch")
+    __slots__ = ("batch",)
+
+    _lead = 1
 
     def __init__(
         self,
@@ -644,10 +658,7 @@ class BatchDenseFactor:
         array: np.ndarray,
         batch: Optional[int] = None,
     ) -> None:
-        self.lowering = lowering
-        self.semiring = lowering.semiring
-        self.scope: Tuple[Variable, ...] = tuple(scope)
-        self.array = array
+        super().__init__(lowering, scope, array)
         self.batch = array.shape[0] if batch is None else batch
         if array.shape[0] not in (1, self.batch):
             raise KernelError(
@@ -655,74 +666,10 @@ class BatchDenseFactor:
                 f"{self.batch}"
             )
 
-    @property
-    def support(self) -> Tuple[str, ...]:
-        return scope_names(self.scope)
-
-    def _aligned(self, scope: Tuple[Variable, ...]) -> np.ndarray:
-        """A view broadcastable over ``(batch, *scope dims)`` — the
-        :meth:`DenseFactor._aligned` permutation with the batch axis
-        pinned in front."""
-        position = {var.name: i for i, var in enumerate(scope)}
-        mine = set(self.support)
-        order = sorted(
-            range(len(self.scope)),
-            key=lambda axis: position[self.scope[axis].name],
-        )
-        array = self.array
-        if order != list(range(len(self.scope))):
-            array = array.transpose([0] + [axis + 1 for axis in order])
-        shape = (array.shape[0],) + tuple(
-            var.size if var.name in mine else 1 for var in scope
-        )
-        return array.reshape(shape)
-
-    def combine(self, other: "BatchDenseFactor") -> "BatchDenseFactor":
-        """``c1 ⊗ c2`` on every instance at once."""
-        if self.batch != other.batch and 1 not in (self.batch, other.batch):
-            raise KernelError(
-                f"cannot combine batches of size {self.batch} and "
-                f"{other.batch}"
-            )
-        scope = merge_scopes(self.scope, other.scope)
-        array = self.lowering.times(
-            self._aligned(scope), other._aligned(scope)
-        )
-        return BatchDenseFactor(
-            self.lowering, scope, array, batch=max(self.batch, other.batch)
-        )
-
-    def project(self, keep: Iterable[str | Variable]) -> "BatchDenseFactor":
-        """``c ⇓ keep`` on every instance — one axis-reduction per
-        eliminated variable, batch axis untouched.  The plus-ufuncs of
-        all four lowered semirings are selections (min/max/or), so the
-        reduction is exact regardless of traversal order."""
-        keep_names = {
-            item.name if isinstance(item, Variable) else item
-            for item in keep
-        }
-        axes = tuple(
-            i + 1
-            for i, var in enumerate(self.scope)
-            if var.name not in keep_names
-        )
-        if not axes:
-            return self
-        kept = tuple(
-            var for var in self.scope if var.name in keep_names
-        )
-        array = self.lowering.plus.reduce(self.array, axis=axes)
-        return BatchDenseFactor(self.lowering, kept, array, batch=self.batch)
-
-    def hide(self, *names: str | Variable) -> "BatchDenseFactor":
-        """``∃x.c`` — project the named variables *out* of every slice."""
-        hidden = {
-            item.name if isinstance(item, Variable) else item
-            for item in names
-        }
-        return self.project(
-            [var for var in self.scope if var.name not in hidden]
-        )
+    def _derive(
+        self, scope: Sequence[Variable], array: np.ndarray
+    ) -> "BatchDenseFactor":
+        return BatchDenseFactor(self.lowering, scope, array, batch=self.batch)
 
     def consistency(self) -> List[Any]:
         """``c ⇓∅`` per instance — one value per batch member."""
@@ -795,9 +742,7 @@ def split_results(batch: BatchDenseFactor) -> List[DenseFactor]:
     return batch.split()
 
 
-def combine_factors(
-    factors: "Sequence[DenseFactor | BatchDenseFactor]",
-) -> "DenseFactor | BatchDenseFactor":
+def combine_factors(factors: Sequence[DenseFactor]) -> DenseFactor:
     """``⊗`` over a non-empty sequence in one ufunc chain.
 
     The fold is left-to-right — the same association order as
@@ -809,37 +754,35 @@ def combine_factors(
     in a wide bucket is one full-scope array, not two.  Elementwise the
     accumulator holds exactly the pairwise fold's values (earlier steps
     are merely replicated across axes later factors introduce), so the
-    result is bit-identical to the old pairwise materialization.
+    result is bit-identical to the old pairwise materialization.  When
+    any factor is batched the result is a :class:`BatchDenseFactor`;
+    unbatched factors broadcast across its batch axis.
     """
     if not factors:
         raise KernelError("combine_factors needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    head = factors[0]
-    lowering = head.lowering
+    lowering = factors[0].lowering
     times = lowering.times
     scope = merge_scopes(*(factor.scope for factor in factors))
-    dims = tuple(var.size for var in scope)
     views = [factor._aligned(scope) for factor in factors]
-    batched = [
-        factor for factor in factors if isinstance(factor, BatchDenseFactor)
-    ]
+    shape = tuple(var.size for var in scope)
+    batched = [factor for factor in factors if factor._lead]
     if batched:
         batch = max(factor.batch for factor in batched)
-        lead = max(
-            view.shape[0]
-            for factor, view in zip(factors, views)
-            if isinstance(factor, BatchDenseFactor)
-        )
-        out = np.empty((lead, *dims), dtype=lowering.dtype)
-        times(views[0], views[1], out=out)
-        for view in views[2:]:
-            times(out, view, out=out)
-        return BatchDenseFactor(lowering, scope, out, batch=batch)
-    out = np.empty(dims, dtype=lowering.dtype)
+        for factor in batched:
+            if factor.batch not in (1, batch):
+                raise KernelError(
+                    f"cannot combine batches of size {factor.batch} and "
+                    f"{batch}"
+                )
+        shape = (max(factor.array.shape[0] for factor in batched),) + shape
+    out = np.empty(shape, dtype=lowering.dtype)
     times(views[0], views[1], out=out)
     for view in views[2:]:
         times(out, view, out=out)
+    if batched:
+        return BatchDenseFactor(lowering, scope, out, batch=batch)
     return DenseFactor(lowering, scope, out)
 
 

@@ -110,8 +110,19 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "Traceback" not in err
 
 
 class TestCoalitions:
@@ -252,8 +263,34 @@ class TestNegotiate:
         assert main(["negotiate", str(path)]) == 1
 
     def test_non_market_payload_rejected(self, fig1_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["negotiate", str(fig1_file)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "drop",
+        (
+            ("request",),
+            ("request", "operation"),
+            ("request", "attribute"),
+            ("services", 0, "qos"),
+        ),
+        ids=lambda path: "-".join(str(part) for part in path),
+    )
+    def test_malformed_market_is_typed_error(
+        self, market_file, tmp_path, capsys, drop
+    ):
+        market = json.loads(market_file.read_text())
+        parent = market
+        for part in drop[:-1]:
+            parent = parent[part]
+        del parent[drop[-1]]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(market))
+        assert main(["negotiate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: market")
+        assert repr(drop[-1]) in err
 
 
 class TestRuntime:
@@ -324,7 +361,7 @@ class TestRuntime:
         assert "runtime.degraded" in kinds
 
     def test_bad_fault_flag_rejected(self, market_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "runtime",
@@ -333,6 +370,7 @@ class TestRuntime:
                     "not-a-window",
                 ]
             )
+        assert exc.value.code == 2
 
 
 class TestLoadgen:
@@ -608,8 +646,9 @@ class TestSlo:
         assert out["verdict"]["choose"] == "redundant"
 
     def test_no_plan_anywhere_is_usage_error(self, slo_market_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["slo", str(slo_market_file), "--target", "0.9"])
+        assert exc.value.code == 2
 
 
 class TestValidateSemiring:
@@ -617,6 +656,15 @@ class TestValidateSemiring:
         assert main(["validate-semiring", "fuzzy"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
+
+    @pytest.mark.parametrize("flag", ("--trace-out", "--prometheus-out"))
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing-dir" / "out.txt"
+        code = main(["validate-semiring", "fuzzy", flag, str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is True
+        assert captured.err.startswith("error: cannot write")
 
     def test_parameterized(self, capsys):
         assert (
