@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perfbench perfbench-test bench bench-report examples all clean
+.PHONY: install test perfbench perfbench-test bench bench-report examples loc all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -33,6 +33,13 @@ examples:
 		echo "== $$script"; \
 		$(PYTHON) $$script || exit 1; \
 	done
+
+# Total Python line count of the tracked files under src/ (a file
+# deleted but not yet staged counts as gone).
+loc:
+	@git ls-files 'src/*.py' | while read -r f; do \
+		[ ! -f "$$f" ] || cat "$$f"; \
+	done | wc -l
 
 all: install test bench examples
 

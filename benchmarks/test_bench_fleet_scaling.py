@@ -8,9 +8,9 @@ per-shard worker pools sleep concurrently on one event loop).  Shape
 expectation: aggregate throughput grows monotonically with shards and
 approaches concurrency/delay; the full run gates ≥3× at 8 shards vs 1.
 
-Also recorded: the two-tier cache's hit split — every shard serves the
-same operation, so the first solve warms the fleet-wide L2 and every
-other shard promotes instead of re-solving.
+Also recorded: the fleet-wide solve cache's hit split — every shard
+serves the same operation, so the first solve of each candidate problem
+warms every shard and no shard re-solves it.
 
 Quick mode (the default, CI-sized) serves ~48 sessions per point with a
 short delay; set ``REPRO_BENCH_FULL=1`` for the paper-sized trace (640
@@ -193,19 +193,20 @@ def test_fleet_scaling(benchmark):
     )
 
 
-def test_fleet_cache_tiering(benchmark):
-    """The L2 warms sibling shards: one miss, promotions everywhere."""
+def test_fleet_shared_cache(benchmark):
+    """One solve cache for the fleet: sessions served one at a time over
+    4 shards miss once per distinct candidate problem, then only hit."""
     shards = 4
+    frontend = build_fleet(shards)
 
     def one_run():
-        frontend = build_fleet(shards)
         generator = FleetLoadGenerator(
             frontend,
+            # one closed-loop client: no two shards race on a problem
             LoadProfile(
-                clients=SCALE["clients"],
+                clients=1,
                 requests=SCALE["requests"],
-                mode="open",
-                rate=RATE_RPS,
+                mode="closed",
                 seed=7,
             ),
             synthetic_request_factory(),
@@ -213,39 +214,25 @@ def test_fleet_cache_tiering(benchmark):
         return generator.run_sync()
 
     fleet_report = benchmark.pedantic(one_run, rounds=1, iterations=1)
-    cache = fleet_report.cache
-    assert cache["l2"] is not None
-    promotions = sum(
-        row["promotions"] for row in cache["per_shard"].values()
-    )
-    l1_hits = sum(
-        row["l1"]["hits"] for row in cache["per_shard"].values()
-    )
-    # the fingerprint was solved once fleet-wide; every other shard
-    # promoted it out of the L2 instead of re-solving
-    assert cache["l2"]["misses"] >= 1
-    assert promotions >= 1
+    cache = fleet_report.cache["solve"]
+    distinct = len(frontend.registry.find(operation="render"))
+    lookups = fleet_report.fleet.offered * distinct
+    assert all(row.offered for row in fleet_report.per_shard.values())
+    assert len(fleet_report.per_shard) == shards
+    assert cache["misses"] == distinct
+    assert cache["hits"] == lookups - distinct
     report(
-        "E14 fleet cache tiering (4 shards, one operation)",
-        [
-            (
-                "l2",
-                cache["l2"]["hits"],
-                cache["l2"]["misses"],
-                promotions,
-            ),
-            ("l1 (sum)", l1_hits, "-", "-"),
-        ],
-        headers=("tier", "hits", "misses", "promotions"),
+        "E14 fleet solve cache (4 shards, one operation)",
+        [("solve", cache["hits"], cache["misses"], distinct)],
+        headers=("cache", "hits", "misses", "distinct problems"),
     )
     record_bench_artifact(
-        "fleet_cache_tiering",
+        "fleet_solve_cache",
         {
             "shards": shards,
-            "l2_hits": cache["l2"]["hits"],
-            "l2_misses": cache["l2"]["misses"],
-            "promotions": promotions,
-            "l1_hits_sum": l1_hits,
+            "hits": cache["hits"],
+            "misses": cache["misses"],
+            "distinct_problems": distinct,
         },
         path=ARTIFACT,
     )

@@ -9,27 +9,17 @@ live caches in one call — the "single pane of glass" the runtime and the
 bench harness read.
 
 Hit/miss traffic also feeds the active metrics registry (counter family
-``cache_hits_total``/``cache_misses_total{cache=<name>,tier=<tier>}``);
-counter children are re-resolved only when the active registry changes,
-so the per-access telemetry cost is one identity comparison.  The
-``tier`` label is empty for standalone caches and names the level
-(``l1``/``l2``) for caches stacked by :mod:`repro.fleet.cache`, so a
-metrics snapshot separates per-shard from fleet-wide hit traffic.
-
-Entries can optionally age out: pass ``ttl`` (seconds) and expired
-entries read as misses (counted under ``expirations``).  Expiry reads
-the injected ``clock`` — ``time.monotonic`` by default — and the clock
-is consulted *only* when a TTL is configured, so the common (unbounded
-lifetime) hot path never makes a syscall.
+``cache_hits_total``/``cache_misses_total{cache=<name>}``); counter
+children are re-resolved only when the active registry changes, so the
+per-access telemetry cost is one identity comparison.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Tuple
 
 _MISSING = object()
 
@@ -70,25 +60,12 @@ class LRUCache:
         name: str = "cache",
         threadsafe: bool = False,
         telemetry: bool = True,
-        tier: str = "",
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None)")
         self.maxsize = maxsize
         self.name = name
         self.threadsafe = threadsafe
-        #: Cache-tier label for the hit/miss counter family; empty for
-        #: standalone caches, ``l1``/``l2`` for fleet-stacked ones.
-        self.tier = tier
-        #: Entry lifetime in seconds; ``None`` (the default) keeps
-        #: entries until LRU eviction.  ``clock`` is injectable for
-        #: tests and is never consulted while ``ttl`` is ``None``.
-        self.ttl = ttl
-        self._clock = clock if clock is not None else time.monotonic
         #: ``telemetry=False`` skips the per-access metrics emission —
         #: for caches on paths hot enough that even the null-registry
         #: resolution shows up (the coalition engine's scorer does a few
@@ -101,7 +78,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self._bound: Tuple[Any, Any, Any] = (None, None, None)
         _ALL_CACHES.add(self)
 
@@ -116,50 +92,35 @@ class LRUCache:
             hit = active.counter(
                 "cache_hits_total",
                 "Cache lookups answered from the cache.",
-                labelnames=("cache", "tier"),
-            ).labels(self.name, self.tier)
+                labelnames=("cache",),
+            ).labels(self.name)
             miss = active.counter(
                 "cache_misses_total",
                 "Cache lookups that had to be computed.",
-                labelnames=("cache", "tier"),
-            ).labels(self.name, self.tier)
+                labelnames=("cache",),
+            ).labels(self.name)
             self._bound = (active, hit, miss)
         return hit, miss
 
     # -- mapping --------------------------------------------------------
 
-    def _lookup(self, key: Hashable) -> Any:
-        """Raw lookup under the caller-held lock: the live value, or
-        ``_MISSING`` for absent *and* TTL-expired entries (expired ones
-        are dropped on sight)."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            return _MISSING
-        if self.ttl is not None:
-            expires_at, payload = value
-            if self._clock() >= expires_at:
-                del self._data[key]
-                self.expirations += 1
-                return _MISSING
-            value = payload
-        self._data.move_to_end(key)
-        return value
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         if not self.telemetry:
             with self._lock:
-                value = self._lookup(key)
+                value = self._data.get(key, _MISSING)
                 if value is _MISSING:
                     self.misses += 1
                     return default
+                self._data.move_to_end(key)
                 self.hits += 1
             return value
         hit, miss = self._counters()
         with self._lock:
-            value = self._lookup(key)
+            value = self._data.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
             else:
+                self._data.move_to_end(key)
                 self.hits += 1
         if value is _MISSING:
             miss.inc()
@@ -168,8 +129,6 @@ class LRUCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        if self.ttl is not None:
-            value = (self._clock() + self.ttl, value)
         with self._lock:
             data = self._data
             if key in data:
@@ -190,16 +149,7 @@ class LRUCache:
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            if self.ttl is None:
-                return key in self._data
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                return False
-            if self._clock() >= value[0]:
-                del self._data[key]
-                self.expirations += 1
-                return False
-            return True
+            return key in self._data
 
     def __len__(self) -> int:
         with self._lock:
@@ -221,17 +171,13 @@ class LRUCache:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            stats: Dict[str, int] = {
+            return {
                 "size": len(self._data),
                 "maxsize": self.maxsize,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
             }
-        if self.tier:
-            stats["tier"] = self.tier  # type: ignore[assignment]
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

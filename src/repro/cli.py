@@ -11,7 +11,7 @@ Exposes the library's main flows over JSON files (the wire format of
 * ``loadgen``                   — drive the runtime with a synthetic
   client population and report throughput + latency percentiles;
 * ``fleet``                     — serve the same load through a sharded
-  multi-broker fleet (consistent-hash routing, two-tier solve cache);
+  multi-broker fleet (consistent-hash routing, one shared solve cache);
 * ``dlq``                       — inspect or replay a dead-letter file
   captured by a resilient serving run;
 * ``slo MARKET.json``           — SLO analytics for a composition plan:
@@ -586,7 +586,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         workers_per_shard=args.workers,
         ingress_depth=args.queue,
         dispatch_depth=args.dispatch_depth,
-        l2_cache=args.l2_cache,
+        solve_cache=args.solve_cache,
         route_by=args.route_by,
         resilience=_resilience_config(args),
         **_session_policy(args),
@@ -1092,13 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="DEPTH",
         help="per-shard dispatch queue bound",
-    )
-    p_fleet.add_argument(
-        "--l2-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one fleet-wide L2 solve cache across shards "
-        "(per-shard L1s become a two-tier stack)",
     )
     p_fleet.add_argument(
         "--route-by",

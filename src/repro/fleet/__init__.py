@@ -5,20 +5,15 @@ consistent-hash ring partitions the session space (and optionally the
 registry, by operation) across N :class:`~repro.runtime.RuntimeServer`
 broker shards; a front-end load balancer does queue-based load leveling
 with typed ``Overloaded`` backpressure and shard-aware redirect when a
-reshard moves a key mid-flight; and every shard's solve cache becomes
-the L1 of a two-tier stack over one fleet-wide L2 keyed by the SHA-256
-problem fingerprint.  Determinism: per-session RNG streams derive from
-``(master seed, session key)``, so a fleet run's agreements are
-independent of shard count.
+reshard moves a key mid-flight; and every shard broker shares one
+fleet-wide solve cache keyed by the SHA-256 problem fingerprint.
+Determinism: per-session RNG streams derive from ``(master seed,
+session key)``, so a fleet run's agreements are independent of shard
+count.
 """
 
-from .cache import (
-    DEFAULT_L2_CACHE_SIZE,
-    CacheBackend,
-    InProcessCacheBackend,
-    TieredSolveCache,
-)
 from .frontend import (
+    FLEET_SOLVE_CACHE_SIZE,
     FleetConfig,
     FleetError,
     FleetFrontend,
@@ -34,10 +29,7 @@ __all__ = [
     "RingError",
     "hash_key",
     "DEFAULT_VNODES",
-    "CacheBackend",
-    "InProcessCacheBackend",
-    "TieredSolveCache",
-    "DEFAULT_L2_CACHE_SIZE",
+    "FLEET_SOLVE_CACHE_SIZE",
     "FleetFrontend",
     "FleetConfig",
     "FleetError",

@@ -32,10 +32,10 @@ seed, session key)`` (:func:`~repro.runtime.server.derive_session_seed`)
 whatever the shard count, the same way PR 5's coalition engine is
 worker-count independent.
 
-Caching: with ``l2_cache`` on (the default), every shard broker gets a
-:class:`~repro.fleet.cache.TieredSolveCache` — private L1, one shared
-:class:`~repro.fleet.cache.InProcessCacheBackend` L2 — so the first
-shard to solve a fingerprint warms the whole fleet.
+Caching: with ``solve_cache`` on (the default), every shard broker —
+including shards joined later by :meth:`FleetFrontend.add_shard` —
+shares one thread-safe :class:`~repro.solver.cache.SolveCache`, so the
+first shard to solve a fingerprint warms the whole fleet.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from ..runtime.server import (
 from ..soa.broker import Broker, ClientRequest
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
+from ..solver.cache import DEFAULT_SOLVE_CACHE_SIZE, SolveCache
 from ..telemetry import get_events, get_registry, get_tracer
-from .cache import DEFAULT_L2_CACHE_SIZE, InProcessCacheBackend, TieredSolveCache
 from .ring import DEFAULT_VNODES, HashRing
 
 #: Routing modes: ``session`` spreads the session space uniformly over
@@ -71,6 +71,10 @@ from .ring import DEFAULT_VNODES, HashRing
 #: and with ``partition_registry`` the service descriptions — that hash
 #: to it.
 ROUTE_MODES = ("session", "operation")
+
+#: Capacity of the fleet-wide solve cache: one entry serves every shard,
+#: so it is sized a few shards deep.
+FLEET_SOLVE_CACHE_SIZE = 4 * DEFAULT_SOLVE_CACHE_SIZE
 
 
 class FleetError(Exception):
@@ -91,11 +95,9 @@ class FleetConfig:
     deadline_s: Optional[float] = 30.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: Optional[int] = None
-    l2_cache: bool = True
-    l2_maxsize: int = DEFAULT_L2_CACHE_SIZE
-    #: L2 entry lifetime in seconds (stale agreements age out); ``None``
-    #: keeps entries until LRU eviction.
-    l2_ttl: Optional[float] = None
+    #: One solve cache shared by every shard broker; ``False`` solves
+    #: every candidate afresh.
+    solve_cache: bool = True
     route_by: str = "session"
     #: With ``route_by="operation"``: give each shard broker only the
     #: registry partition it owns instead of the full shared registry.
@@ -108,9 +110,9 @@ class FleetConfig:
     #: Solver batching (``--solver-batching``): each shard gets its own
     #: :class:`~repro.runtime.batching.BatchScheduler` coalescing that
     #: shard's concurrent same-topology candidate solves into stacked
-    #: sweeps, over the shared L2 solve cache (batched results are
-    #: written through the shard's ``TieredSolveCache``, so one shard's
-    #: sweep warms every shard).  ``None`` solves per session.
+    #: sweeps, over the shared solve cache (batched results are stored
+    #: in it, so one shard's sweep warms every shard).  ``None`` solves
+    #: per session.
     batching: Optional[BatchConfig] = None
     #: Multi-client allocation (``--allocation-policy``): each shard
     #: broker routes sessions through coalesced allocation rounds under
@@ -219,11 +221,9 @@ class FleetFrontend:
             vnodes=self.config.vnodes,
             seed=self.config.seed or 0,
         )
-        self.l2: Optional[InProcessCacheBackend] = (
-            InProcessCacheBackend(
-                maxsize=self.config.l2_maxsize, ttl=self.config.l2_ttl
-            )
-            if self.config.l2_cache
+        self.solve_cache: Optional[SolveCache] = (
+            SolveCache(FLEET_SOLVE_CACHE_SIZE)
+            if self.config.solve_cache
             else None
         )
         self._partitions: Optional[Dict[str, ServiceRegistry]] = (
@@ -293,13 +293,12 @@ class FleetFrontend:
         broker = Broker(
             shard_registry,
             name=shard_id,
-            solve_cache=self.l2 is None,
+            solve_cache=False,
             batching=self.config.batching,
             allocation_policy=self.config.allocation_policy,
             rounds=self.config.rounds,
         )
-        if self.l2 is not None:
-            broker.solve_cache = TieredSolveCache(self.l2)
+        broker.solve_cache = self.solve_cache
         # Every shard carries the *fleet* master seed: keyed sessions
         # derive their RNG from (config.seed, session key), so the seed
         # must be identical on whichever shard serves the session —
@@ -372,7 +371,7 @@ class FleetFrontend:
             "fleet.started",
             shards=len(self.shards),
             vnodes=self.config.vnodes,
-            l2_cache=self.l2 is not None,
+            solve_cache=self.solve_cache is not None,
         )
 
     async def _start_shard(self, shard: _Shard) -> None:
@@ -741,23 +740,22 @@ class FleetFrontend:
         return out
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Tiered-cache counters: per-shard L1s plus the shared L2 (and
-        per-shard batch-scheduler dispatch counters when batching is
-        on)."""
-        per_shard: Dict[str, Any] = {}
+        """The shared solve cache's counters under ``"solve"`` (``None``
+        when it is off), plus per-shard batch-scheduler and round
+        dispatch counters when those are on."""
         batching: Dict[str, Any] = {}
         rounds: Dict[str, Any] = {}
         for shard_id, shard in self.shards.items():
-            cache = shard.broker.solve_cache
-            if cache is not None:
-                per_shard[shard_id] = cache.stats()
             if shard.broker.batcher is not None:
                 batching[shard_id] = shard.broker.batcher.stats()
             if shard.broker.rounds is not None:
                 rounds[shard_id] = shard.broker.rounds.stats()
         stats: Dict[str, Any] = {
-            "per_shard": per_shard,
-            "l2": self.l2.stats() if self.l2 is not None else None,
+            "solve": (
+                self.solve_cache.stats()
+                if self.solve_cache is not None
+                else None
+            ),
         }
         if batching:
             stats["batching"] = batching

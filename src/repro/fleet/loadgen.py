@@ -8,7 +8,7 @@ market all work unchanged.  What this module adds is fleet-shaped
 reporting: per-shard :class:`~repro.runtime.loadgen.LoadReport` digests
 built from each shard's raw session samples and merged with
 :func:`~repro.runtime.loadgen.merge_reports` (percentiles recomputed
-from the concatenated samples, never averaged), plus the tiered-cache
+from the concatenated samples, never averaged), plus the solve-cache
 and redirect counters that tell the scaling story.
 """
 
@@ -39,7 +39,7 @@ class FleetLoadReport:
     per_shard: Dict[str, LoadReport]
     shards: int
     redirects: int
-    #: Tiered solve-cache counters (per-shard L1s + shared L2).
+    #: Fleet-wide solve-cache counters (see ``FleetFrontend.cache_stats``).
     cache: Dict[str, Any]
 
     @property

@@ -157,37 +157,18 @@ class SolveCache:
     telemetry registry under ``cache="solve"``.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_SOLVE_CACHE_SIZE,
-        tier: str = "",
-    ) -> None:
-        self._lru = LRUCache(
-            maxsize, name="solve", threadsafe=True, tier=tier
-        )
-
-    @property
-    def tier(self) -> str:
-        return self._lru.tier
+    def __init__(self, maxsize: int = DEFAULT_SOLVE_CACHE_SIZE) -> None:
+        self._lru = LRUCache(maxsize, name="solve", threadsafe=True)
 
     def fetch(self, key: str, problem: SCSP) -> Optional[SolverResult]:
         """The cached result rebound to ``problem``, or ``None``."""
-        entry = self.fetch_entry(key)
+        entry = self._lru.get(key)
         if entry is None:
             return None
         return entry.result_for(problem)
 
     def store(self, key: str, result: SolverResult) -> None:
-        self.store_entry(key, _CacheEntry.from_result(result))
-
-    def fetch_entry(self, key: str) -> Optional[_CacheEntry]:
-        """The raw problem-independent entry — the currency tier stacks
-        (:mod:`repro.fleet.cache`) move between levels without
-        rebinding or re-deep-copying results."""
-        return self._lru.get(key)
-
-    def store_entry(self, key: str, entry: _CacheEntry) -> None:
-        self._lru.put(key, entry)
+        self._lru.put(key, _CacheEntry.from_result(result))
 
     def clear(self) -> None:
         self._lru.clear()

@@ -1,10 +1,11 @@
-"""Per-shard batch scheduling over the shared L2: bit-identity holds.
+"""Per-shard batch scheduling over the shared solve cache: bit-identity
+holds.
 
 A 4-shard fleet with ``FleetConfig(batching=...)`` must hand every
 session the same agreement the unbatched fleet hands it — the batch
-scheduler sits below the tiered cache, so write-through still warms
-every shard — and ``cache_stats()`` must surface per-shard dispatch
-counters under the ``"batching"`` key.
+scheduler stores its results in the fleet's one solve cache, so a
+batched sweep still warms every shard — and ``cache_stats()`` must
+surface per-shard dispatch counters under the ``"batching"`` key.
 """
 
 from repro.fleet import FleetConfig, FleetFrontend

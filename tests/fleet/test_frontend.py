@@ -334,39 +334,84 @@ class TestOperationRouting:
 
 
 class TestCaching:
-    def test_l2_warms_sibling_shards(self, market, make_request):
+    @staticmethod
+    def serve_one_at_a_time(frontend, requests):
+        """Serve each session to completion before submitting the next,
+        so no two shards ever race on the same fingerprint."""
+
+        async def scenario():
+            await frontend.start()
+            try:
+                for request in requests:
+                    await frontend.submit(request)
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+    def test_first_solve_warms_every_shard(self, market, make_request):
         frontend = FleetFrontend(
             market, FleetConfig(shards=4, seed=5, deadline_s=None)
         )
-        # one operation only: every shard solves the same fingerprint
-        requests = [
-            make_request(client=f"c{i}", operation="render")
-            for i in range(16)
-        ]
-        frontend.run(requests)
-        stats = frontend.cache_stats()
-        assert stats["l2"] is not None
-        # the problem was solved by the first shard to see it; other
-        # shards promoted it from the L2 instead of re-solving
-        assert stats["l2"]["misses"] >= 1
-        promotions = sum(
-            shard["promotions"] for shard in stats["per_shard"].values()
+        # one operation only: every shard solves the same candidates
+        self.serve_one_at_a_time(
+            frontend,
+            [
+                make_request(client=f"c{i}", operation="render")
+                for i in range(16)
+            ],
         )
-        busy = sum(
-            1
-            for results in frontend.results_by_shard.values()
-            if results
-        )
-        assert promotions >= busy - 1
+        assert all(frontend.results_by_shard.values())  # 4 busy shards
+        for shard in frontend.shards.values():
+            assert shard.broker.solve_cache is frontend.solve_cache
+        stats = frontend.cache_stats()["solve"]
+        # one miss per distinct candidate problem fleet-wide; each of the
+        # 16 sessions looks every candidate up, and all later lookups,
+        # on whichever shard, hit
+        distinct = len(market.find(operation="render"))
+        assert stats["misses"] == distinct
+        assert stats["size"] == distinct
+        assert stats["hits"] == 16 * distinct - distinct
 
-    def test_l2_can_be_disabled(self, market, make_request):
+    def test_joined_shard_answers_repeats_from_the_shared_cache(
+        self, market, make_request
+    ):
+        frontend = FleetFrontend(
+            market, FleetConfig(shards=2, seed=5, deadline_s=None)
+        )
+        request = make_request(client="c", operation="render")
+
+        async def scenario():
+            await frontend.start()
+            try:
+                await frontend.submit(request)  # warm-up
+                misses = frontend.cache_stats()["solve"]["misses"]
+                joined = await frontend.add_shard()
+                while not frontend.results_by_shard[joined]:
+                    await frontend.submit(request)
+                return joined, misses
+            finally:
+                await frontend.stop()
+
+        joined, misses = asyncio.run(scenario())
+        result = frontend.results_by_shard[joined][0]
+        assert result.status is SessionStatus.COMPLETED
+        # no broker, the joined one included, missed after warm-up
+        caches = {
+            id(shard.broker.solve_cache): shard.broker.solve_cache
+            for shard in frontend.shards.values()
+        }
+        assert sum(c.stats()["misses"] for c in caches.values()) == misses
+
+    def test_solve_cache_can_be_disabled(self, market, make_request):
         frontend = FleetFrontend(
             market,
-            FleetConfig(shards=2, seed=5, deadline_s=None, l2_cache=False),
+            FleetConfig(
+                shards=2, seed=5, deadline_s=None, solve_cache=False
+            ),
         )
         results = frontend.run(requests_for(make_request, 6))
         assert all(r.status is SessionStatus.COMPLETED for r in results)
-        stats = frontend.cache_stats()
-        assert stats["l2"] is None
-        # shards fall back to their private single-tier solve caches
-        assert stats["per_shard"]
+        assert frontend.cache_stats()["solve"] is None
+        for shard in frontend.shards.values():
+            assert shard.broker.solve_cache is None

@@ -287,8 +287,8 @@ class TestQueryCacheTelemetry:
             engine.query(query)  # three hits
         hits = session.registry.get("cache_hits_total")
         misses = session.registry.get("cache_misses_total")
-        assert misses.labels("query-offer-level", "").value == 3
-        assert hits.labels("query-offer-level", "").value == 3
+        assert misses.labels("query-offer-level").value == 3
+        assert hits.labels("query-offer-level").value == 3
         assert engine._level_cache.stats()["size"] == 3
 
 

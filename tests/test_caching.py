@@ -81,72 +81,6 @@ class TestSemantics:
         assert cache.get_or_compute("k", compute) == 42
         assert len(calls) == 1
 
-    def test_ttl_expires_entries_on_the_injected_clock(self):
-        now = [0.0]
-        cache = LRUCache(
-            maxsize=4, name="ttl-probe", ttl=5.0, clock=lambda: now[0]
-        )
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        now[0] = 4.999
-        assert "k" in cache
-        now[0] = 5.0  # inclusive: exactly ttl seconds later is stale
-        assert "k" not in cache
-        assert cache.get("k") is None
-        stats = cache.stats()
-        assert stats["expirations"] == 1
-        assert stats["size"] == 0
-
-    def test_ttl_refreshes_on_overwrite(self):
-        now = [0.0]
-        cache = LRUCache(
-            maxsize=4, name="ttl-probe", ttl=5.0, clock=lambda: now[0]
-        )
-        cache.put("k", "old")
-        now[0] = 4.0
-        cache.put("k", "new")  # rewrite restarts the clock
-        now[0] = 8.0
-        assert cache.get("k") == "new"
-        now[0] = 9.0
-        assert cache.get("k") is None
-
-    def test_ttl_off_by_default_and_clock_untouched(self):
-        def forbidden():  # pragma: no cover - would fail the test
-            raise AssertionError("clock consulted without a TTL")
-
-        cache = LRUCache(maxsize=4, name="no-ttl-probe", clock=forbidden)
-        cache.put("k", 1)
-        assert cache.get("k") == 1
-        assert "k" in cache
-        assert cache.stats()["expirations"] == 0
-
-    def test_expired_entries_do_not_count_as_hits(self):
-        now = [0.0]
-        cache = LRUCache(
-            maxsize=4, name="ttl-probe", ttl=1.0, clock=lambda: now[0]
-        )
-        cache.put("k", "v")
-        now[0] = 2.0
-        cache.get("k")
-        assert cache.hits == 0
-        assert cache.misses == 1
-
-    def test_get_or_compute_recomputes_after_expiry(self):
-        now = [0.0]
-        cache = LRUCache(
-            maxsize=4, name="ttl-probe", ttl=1.0, clock=lambda: now[0]
-        )
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return len(calls)
-
-        assert cache.get_or_compute("k", compute) == 1
-        assert cache.get_or_compute("k", compute) == 1
-        now[0] = 2.0
-        assert cache.get_or_compute("k", compute) == 2
-
     def test_threadsafe_mode_under_contention(self):
         cache = LRUCache(maxsize=64, name="mt-probe", threadsafe=True)
 

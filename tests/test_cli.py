@@ -460,31 +460,39 @@ class TestFleet:
         assert sum(
             row["offered"] for row in out["per_shard"].values()
         ) == 12
-        assert out["cache"]["l2"] is not None
+        assert out["cache"]["solve"] is not None
 
-    def test_no_l2_cache_flag(self, market_file, capsys):
+    FLEET_ARGS = [
+        "fleet",
+        "--shards",
+        "2",
+        "--clients",
+        "2",
+        "--requests",
+        "4",
+        "--mode",
+        "closed",
+        "--seed",
+        "5",
+    ]
+
+    def test_no_solve_cache_flag(self, market_file, capsys):
         exit_code = main(
-            [
-                "fleet",
-                "--market",
-                str(market_file),
-                "--shards",
-                "2",
-                "--clients",
-                "2",
-                "--requests",
-                "4",
-                "--mode",
-                "closed",
-                "--seed",
-                "5",
-                "--no-l2-cache",
-            ]
+            self.FLEET_ARGS
+            + ["--market", str(market_file), "--no-solve-cache"]
         )
         out = json.loads(capsys.readouterr().out)
         assert exit_code == 0
-        assert out["cache"]["l2"] is None
+        assert out["cache"]["solve"] is None
         assert out["fleet"]["outcomes"]["completed"] == 4
+
+    def test_l2_cache_flag_is_gone(self, market_file):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                self.FLEET_ARGS
+                + ["--market", str(market_file), "--no-l2-cache"]
+            )
+        assert exc.value.code == 2
 
     def test_telemetry_snapshot_shows_fleet_metrics(self, capsys):
         exit_code = main(
@@ -508,7 +516,15 @@ class TestFleet:
         names = {m["name"] for m in out["telemetry"]["metrics"]}
         assert "fleet_sessions_total" in names
         assert "fleet_shards" in names
-        assert "fleet_solve_cache_requests_total" in names
+        # the shared solve cache reports through the common cache family
+        hits = next(
+            m for m in out["telemetry"]["metrics"]
+            if m["name"] == "cache_hits_total"
+        )
+        assert any(
+            sample["labels"] == {"cache": "solve"} and sample["value"] > 0
+            for sample in hits["samples"]
+        )
 
 
 @pytest.fixture
