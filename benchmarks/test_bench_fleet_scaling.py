@@ -96,8 +96,8 @@ def run_point(shards):
     )
     fleet_report = generator.run_sync()
     outcomes = {
-        key: (result.status.value, result.attempts)
-        for key, result in frontend.results_by_key().items()
+        result.session_key: (result.status.value, result.attempts)
+        for result in fleet_report.fleet.results
     }
     return fleet_report, outcomes
 

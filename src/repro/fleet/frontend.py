@@ -62,7 +62,7 @@ from ..soa.broker import Broker, ClientRequest
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
 from ..solver.cache import DEFAULT_SOLVE_CACHE_SIZE, SolveCache
-from ..telemetry import get_events, get_registry, get_tracer
+from ..telemetry import get_events, get_registry
 from .ring import DEFAULT_VNODES, HashRing
 
 #: Routing modes: ``session`` spreads the session space uniformly over
@@ -269,11 +269,6 @@ class FleetFrontend:
                 seed=self.config.seed,
                 tick_source=lambda: self._submitted,
             )
-        self.results: List[SessionResult] = []
-        self.results_by_shard: Dict[str, List[SessionResult]] = {
-            shard_id: [] for shard_id in self.shards
-        }
-        self.assignments: Dict[str, str] = {}  # session key → shard id
         self.redirects = 0
         self._ingress: Optional["asyncio.Queue[_FleetItem]"] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
@@ -375,17 +370,14 @@ class FleetFrontend:
         )
 
     async def _start_shard(self, shard: _Shard) -> None:
-        with get_tracer().span(
-            "fleet.shard-start", shard=shard.shard_id
-        ):
-            shard.queue = asyncio.Queue(
-                maxsize=self.config.dispatch_depth
-            )
-            shard.slots = asyncio.Semaphore(shard.capacity)
-            await shard.server.start()
-            shard.pump = asyncio.create_task(
-                self._pump(shard), name=f"fleet-pump-{shard.shard_id}"
-            )
+        # No span here: the worker and pump tasks started below would
+        # inherit it, and every session span would nest under it.
+        shard.queue = asyncio.Queue(maxsize=self.config.dispatch_depth)
+        shard.slots = asyncio.Semaphore(shard.capacity)
+        await shard.server.start()
+        shard.pump = asyncio.create_task(
+            self._pump(shard), name=f"fleet-pump-{shard.shard_id}"
+        )
         get_registry().gauge(
             "fleet_shards",
             "Broker shards currently serving the fleet.",
@@ -428,19 +420,16 @@ class FleetFrontend:
             await asyncio.gather(*pending, return_exceptions=True)
 
     async def _stop_shard(self, shard: _Shard, drain: bool) -> None:
-        with get_tracer().span(
-            "fleet.shard-stop", shard=shard.shard_id
-        ):
-            if shard.pump is not None:
-                shard.pump.cancel()
-                try:
-                    await shard.pump
-                except asyncio.CancelledError:
-                    pass
-                shard.pump = None
-            await shard.server.stop(drain=drain)
-            shard.queue = None
-            shard.slots = None
+        if shard.pump is not None:
+            shard.pump.cancel()
+            try:
+                await shard.pump
+            except asyncio.CancelledError:
+                pass
+            shard.pump = None
+        await shard.server.stop(drain=drain)
+        shard.queue = None
+        shard.slots = None
 
     async def __aenter__(self) -> "FleetFrontend":
         await self.start()
@@ -470,7 +459,6 @@ class FleetFrontend:
             shard_id = f"shard-{index}"
         shard = self._build_shard(shard_id)
         self.shards[shard_id] = shard
-        self.results_by_shard.setdefault(shard_id, [])
         if self.started:
             await self._start_shard(shard)
         # Ring change last: pumps only redirect to shards that exist.
@@ -562,7 +550,7 @@ class FleetFrontend:
                 ),
                 session_key=key,
             )
-            self._account(None, result)
+            self._account(result)
             future.set_result(result)
             return future
         self._pending.add(future)
@@ -675,37 +663,21 @@ class FleetFrontend:
                 detail=f"shard {shard.shard_id} error: {exc}",
                 session_key=item.key,
             )
-        self._account(shard.shard_id, result)
+        result.shard = shard.shard_id
+        self._account(result)
         if not item.future.done():
             item.future.set_result(result)
 
-    def _account(
-        self, shard_id: Optional[str], result: SessionResult
-    ) -> None:
-        self.results.append(result)
-        if shard_id is not None:
-            self.results_by_shard[shard_id].append(result)
-            if result.session_key is not None:
-                self.assignments[result.session_key] = shard_id
+    def _account(self, result: SessionResult) -> None:
         get_registry().counter(
             "fleet_sessions_total",
             "Fleet sessions served, by shard and outcome.",
             labelnames=("shard", "outcome"),
-        ).labels(shard_id or "ingress", result.status.value).inc()
+        ).labels(result.shard or "ingress", result.status.value).inc()
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def results_by_key(self) -> Dict[str, SessionResult]:
-        """Completed sessions keyed by session key — the shard-count-
-        independent view (list order is completion order and therefore
-        racy; this mapping is not)."""
-        return {
-            result.session_key: result
-            for result in self.results
-            if result.session_key is not None
-        }
 
     def resilience_snapshot(self) -> Dict[str, Any]:
         """Fleet-wide resilience state: the shared breaker/health/DLQ

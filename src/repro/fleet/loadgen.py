@@ -6,17 +6,17 @@ surface the :class:`~repro.runtime.loadgen.LoadGenerator` drives, so
 open/closed-loop arrival processes, request factories and the synthetic
 market all work unchanged.  What this module adds is fleet-shaped
 reporting: per-shard :class:`~repro.runtime.loadgen.LoadReport` digests
-built from each shard's raw session samples and merged with
-:func:`~repro.runtime.loadgen.merge_reports` (percentiles recomputed
-from the concatenated samples, never averaged), plus the solve-cache
-and redirect counters that tell the scaling story.
+built by grouping the run's own session results on
+:attr:`~repro.runtime.server.SessionResult.shard` (sessions bounced at
+the fleet edge belong to no shard but count in the fleet row), plus the
+solve-cache and redirect counters that tell the scaling story.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..runtime.loadgen import (
     LoadGenerator,
@@ -24,8 +24,8 @@ from ..runtime.loadgen import (
     LoadReport,
     RequestFactory,
     build_report,
-    merge_reports,
 )
+from ..runtime.server import SessionResult
 from .frontend import FleetFrontend
 
 
@@ -33,7 +33,7 @@ from .frontend import FleetFrontend
 class FleetLoadReport:
     """What the fleet delivered under one load profile."""
 
-    #: The merged fleet-wide digest (offered/throughput/percentiles).
+    #: The fleet-wide digest (offered/throughput/percentiles).
     fleet: LoadReport
     #: Per-shard digests over the same wall-clock window.
     per_shard: Dict[str, LoadReport]
@@ -81,26 +81,16 @@ class FleetLoadGenerator:
     async def run(self) -> FleetLoadReport:
         """One full load run (starts/stops the fleet if needed)."""
         report = await self._inner.run()
+        by_shard: Dict[str, List[SessionResult]] = {}
+        for result in report.results:
+            if result.shard is not None:
+                by_shard.setdefault(result.shard, []).append(result)
         per_shard = {
-            shard_id: build_report(list(results), report.duration_s)
-            for shard_id, results in sorted(
-                self.frontend.results_by_shard.items()
-            )
-            if results
+            shard_id: build_report(results, report.duration_s)
+            for shard_id, results in sorted(by_shard.items())
         }
-        # Merging the per-shard reports keeps the fleet row exactly
-        # consistent with the shard rows it summarizes.  Sessions
-        # bounced at the fleet edge belong to no shard; when any exist
-        # the generator's own digest (which includes them) is the
-        # honest fleet row instead.
-        covered = sum(digest.offered for digest in per_shard.values())
-        fleet = (
-            merge_reports(list(per_shard.values()))
-            if per_shard and covered == report.offered
-            else report
-        )
         return FleetLoadReport(
-            fleet=fleet,
+            fleet=report,
             per_shard=per_shard,
             shards=len(self.frontend.shards),
             redirects=self.frontend.redirects,

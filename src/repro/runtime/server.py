@@ -18,9 +18,9 @@ module adds the serving layer around it:
 * Failed attempts (injected provider faults) are re-driven under a
   :class:`~repro.runtime.retry.RetryPolicy` with exponential backoff and
   seeded jitter; when retries are exhausted, the server degrades
-  gracefully to the client's last-known SLA from the broker's
-  :class:`~repro.soa.sla.SLARepository` (``DEGRADED``) before giving up
-  (``FAILED``).
+  gracefully to the client's current SLA for the requested attribute
+  from the broker's :class:`~repro.soa.sla.SLARepository`
+  (``DEGRADED``) before giving up (``FAILED``).
 
 Reproducibility: the server owns one master :class:`random.Random`
 (``config.seed``) and derives an independent child RNG per session *in
@@ -145,6 +145,9 @@ class SessionResult:
     index: int = -1
     #: The caller-supplied session key for keyed (fleet) sessions.
     session_key: Optional[str] = None
+    #: The fleet shard that served the session (``None`` outside a
+    #: fleet and for sessions bounced at the fleet edge).
+    shard: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -244,7 +247,6 @@ class RuntimeServer:
         self.broker = broker
         self.config = config or RuntimeConfig()
         self.injector = injector
-        self.results: List[SessionResult] = []
         self._rng = random.Random(self.config.seed)
         self._queue: Optional["asyncio.Queue[_Session]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -854,14 +856,18 @@ class RuntimeServer:
     def _degrade(
         self, session: _Session, attempts: int, last_error: str
     ) -> SessionResult:
-        """Retries exhausted: serve the last-known SLA when one exists."""
+        """Retries exhausted: serve the client's current SLA for the
+        requested attribute when one exists."""
         request = session.request
-        known = [
-            sla
-            for sla in self.broker.slas.for_client(request.client)
-            if sla.attribute == request.attribute and sla.active
-        ]
-        if not known:
+        sla = next(
+            (
+                sla
+                for sla in self.broker.slas.for_client(request.client)
+                if sla.attribute == request.attribute and sla.active
+            ),
+            None,
+        )
+        if sla is None:
             return SessionResult(
                 request=request,
                 status=SessionStatus.FAILED,
@@ -869,7 +875,6 @@ class RuntimeServer:
                 retries=attempts - 1,
                 detail=f"retries exhausted ({last_error}); no known SLA",
             )
-        sla = known[-1]
         get_registry().counter(
             "runtime_degraded_total",
             "Sessions degraded to the last-known SLA after retries.",
@@ -901,7 +906,6 @@ class RuntimeServer:
     def _finish(
         self, result: SessionResult, tick: Optional[int] = None
     ) -> None:
-        self.results.append(result)
         dlq = self.resilience.dlq
         if dlq is not None:
             dlq.capture(result, master_seed=self.config.seed, tick=tick)

@@ -25,10 +25,10 @@ that sees one coalesced **round** of concurrent sessions at a time:
   "cartesian product of c-semirings is still a c-semiring" machinery
   applied to fairness: the composite lowers through the same solver
   kernels as any scalar semiring (see ``repro.solver.kernels``), and
-  the default ``joint_solver="dense"`` evaluates the joint objective
-  the same way — stacked ndarray planes over the candidate
-  cross-product with a vectorized lex argmax (``"scsp"`` keeps the
-  FunctionConstraint-through-``solve()`` reference formulation).
+  the policy evaluates the joint objective the same way — stacked
+  ndarray planes over the candidate cross-product with a vectorized lex
+  argmax.  The FunctionConstraint-through-``solve()`` reference
+  formulation stays as the test oracle that pins it.
 
 Contention is modelled by a rank discount: the ``k``-th session a
 provider accepts within a round realizes ``satisfaction · γ^k``
@@ -224,11 +224,11 @@ class FairAllocation(AllocationPolicy):
     (see the pinned counterexample in the law tests).  Provider loads
     persist across cohorts and rounds start them at zero.
 
-    ``joint_solver`` picks the evaluation engine: ``"dense"`` (default)
-    lowers the objective onto stacked ndarray planes and takes a
-    vectorized lex argmax; ``"scsp"`` is the reference formulation —
-    one :class:`FunctionConstraint` per cohort handed to
-    :func:`repro.solver.solve`.  Identical optima, ~20× apart in cost.
+    The objective is lowered onto stacked ndarray planes with a
+    vectorized lex argmax; :meth:`_solve_cohort_scsp` keeps the
+    reference formulation — one :class:`FunctionConstraint` per cohort
+    handed to :func:`repro.solver.solve` — as the test oracle.
+    Identical optima, ~20× apart in cost.
     """
 
     name = "fair"
@@ -237,7 +237,6 @@ class FairAllocation(AllocationPolicy):
         self,
         gamma: float = DEFAULT_CONGESTION_GAMMA,
         joint_limit: int = DEFAULT_JOINT_LIMIT,
-        joint_solver: str = "dense",
     ) -> None:
         if not 0.0 < gamma <= 1.0:
             raise AllocationError(
@@ -247,14 +246,8 @@ class FairAllocation(AllocationPolicy):
             raise AllocationError(
                 f"joint_limit must be at least 1, got {joint_limit}"
             )
-        if joint_solver not in ("dense", "scsp"):
-            raise AllocationError(
-                f"unknown joint_solver {joint_solver!r}; "
-                "known: dense, scsp"
-            )
         self.gamma = gamma
         self.joint_limit = joint_limit
-        self.joint_solver = joint_solver
         self.objective_semiring = LexicographicSemiring(
             [FuzzySemiring(), ProbabilisticSemiring()]
         )
@@ -315,7 +308,7 @@ class FairAllocation(AllocationPolicy):
         loads: Dict[str, int] = {}
         for cohort in self._pack_cohorts(members):
             for member, evaluation in zip(
-                cohort, self._solve_cohort(cohort, loads, round_id)
+                cohort, self._solve_cohort(cohort, loads)
             ):
                 member.chosen = evaluation
                 provider = evaluation.description.provider
@@ -398,33 +391,19 @@ class FairAllocation(AllocationPolicy):
         return cohorts
 
     def _solve_cohort(
-        self,
-        cohort: List[_Member],
-        loads: Dict[str, int],
-        round_id: int,
+        self, cohort: List[_Member], loads: Dict[str, int]
     ) -> List[CandidateEvaluation]:
         """Who gets which provider in this cohort.
 
-        ``joint_solver="dense"`` (the default) evaluates the joint
-        objective as stacked ndarray planes — one score/provider plane
-        per member broadcast over the full candidate cross-product,
-        ranks by a prefix equality fold, lex argmax at the end — the
-        same lowering philosophy :mod:`repro.solver.kernels` applies to
-        composite constraints, and ~20× faster than enumerating the
-        objective in Python.  ``joint_solver="scsp"`` keeps the
-        reference formulation: one :class:`FunctionConstraint` valued
-        in ``Lex[Fuzzy, Probabilistic]`` handed to
-        :func:`repro.solver.solve`.  Both optimize the identical
-        ⟨worst, welfare⟩ objective; the policy tests pin the agreement.
+        The joint objective is evaluated as stacked ndarray planes — one
+        score/provider plane per member broadcast over the full
+        candidate cross-product, ranks by a prefix equality fold, lex
+        argmax at the end — the same lowering philosophy
+        :mod:`repro.solver.kernels` applies to composite constraints,
+        and ~20× faster than enumerating the objective in Python.
+        :meth:`_solve_cohort_scsp` optimizes the identical ⟨worst,
+        welfare⟩ objective; the policy tests pin the agreement.
         """
-        if self.joint_solver == "dense":
-            return self._solve_cohort_dense(cohort, loads)
-        return self._solve_cohort_scsp(cohort, loads, round_id)
-
-    def _solve_cohort_dense(
-        self, cohort: List[_Member], loads: Dict[str, int]
-    ) -> List[CandidateEvaluation]:
-        """Vectorized exhaustive lex argmax over the joint table."""
         codes: Dict[str, int] = {}
         member_scores: List[np.ndarray] = []
         member_providers: List[np.ndarray] = []
@@ -496,12 +475,10 @@ class FairAllocation(AllocationPolicy):
         ]
 
     def _solve_cohort_scsp(
-        self,
-        cohort: List[_Member],
-        loads: Dict[str, int],
-        round_id: int,
+        self, cohort: List[_Member], loads: Dict[str, int]
     ) -> List[CandidateEvaluation]:
-        """One joint SCSP: the reference formulation through the solver."""
+        """One joint SCSP: the reference formulation through the solver
+        (a test oracle for :meth:`_solve_cohort`)."""
         variables: List[Variable] = []
         scores: List[Dict[str, float]] = []
         by_id: List[Dict[str, CandidateEvaluation]] = []
@@ -546,9 +523,9 @@ class FairAllocation(AllocationPolicy):
             self.objective_semiring,
             variables,
             objective,
-            name=f"fair-round-{round_id}",
+            name="fair-cohort",
         )
-        problem = SCSP([constraint], name=f"fair-round-{round_id}")
+        problem = SCSP([constraint], name="fair-cohort")
         result = solve(problem)
         assignment = result.best_assignment
         assert assignment is not None

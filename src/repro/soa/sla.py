@@ -96,25 +96,31 @@ class SLAViolation:
 
 
 class SLARepository:
-    """All agreements brokered so far, queryable by party."""
+    """The current agreement per client and attribute.
+
+    A re-negotiated agreement replaces the one it supersedes — the
+    nmsccp ``update`` of the store (paper Sec. 2.1), not a new fact kept
+    forever — so a long-running broker holds one SLA per ``(client,
+    attribute)`` pair.  A superseded SLA leaves the index but is not
+    terminated.
+    """
 
     def __init__(self) -> None:
-        self._slas: List[SLA] = []
+        self._by_client: Dict[str, Dict[str, SLA]] = {}
 
     def add(self, sla: SLA) -> None:
-        self._slas.append(sla)
-
-    def active(self) -> List[SLA]:
-        return [sla for sla in self._slas if sla.active]
+        self._by_client.setdefault(sla.client, {})[sla.attribute] = sla
 
     def for_client(self, client: str) -> List[SLA]:
-        return [sla for sla in self._slas if sla.client == client]
-
-    def for_provider(self, provider: str) -> List[SLA]:
-        return [sla for sla in self._slas if provider in sla.providers]
+        """The client's current SLAs, at most one per attribute."""
+        return list(self._by_client.get(client, {}).values())
 
     def __len__(self) -> int:
-        return len(self._slas)
+        return sum(len(slas) for slas in list(self._by_client.values()))
 
     def __iter__(self):
-        return iter(self._slas)
+        return (
+            sla
+            for slas in list(self._by_client.values())
+            for sla in list(slas.values())
+        )

@@ -22,6 +22,12 @@ from repro.soa import (
 OPERATIONS = ("render", "store", "index")
 
 
+def by_key(results):
+    """Session results keyed by session key: the shard-count-independent
+    view (completion order is racy; this mapping is not)."""
+    return {result.session_key: result for result in results}
+
+
 def publish_provider(registry, operation, provider, base, slope=1.0):
     registry.publish(
         ServiceDescription(

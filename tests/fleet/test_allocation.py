@@ -5,8 +5,8 @@ The satellite regression for PR 9: a fleet configured with the
 agreements *keyed per session* — same provider, agreed level and service
 ids for every session key — at any shard count and round shape, because
 greedy is defined as the legacy path behind the seam.
-:meth:`FleetFrontend.results_by_key` is the shard-count-independent view
-that makes the comparison well-defined.  The fair half: with contention,
+Keying results by session key is the shard-count-independent view that
+makes the comparison well-defined.  The fair half: with contention,
 every shard's rounds spread sessions across providers and the fleet-wide
 Jain index clears 0.9.
 """
@@ -24,7 +24,7 @@ from repro.runtime import (
     synthesize_contention_market,
 )
 
-from .conftest import OPERATIONS
+from .conftest import OPERATIONS, by_key
 
 
 def mixed_requests(make_request, count):
@@ -36,7 +36,7 @@ def mixed_requests(make_request, count):
     ]
 
 
-def agreements(frontend):
+def agreements(results):
     """Session-keyed agreement facts, independent of sharding."""
     return {
         key: (
@@ -45,7 +45,7 @@ def agreements(frontend):
             result.sla.agreed_level if result.sla else None,
             result.sla.service_ids if result.sla else None,
         )
-        for key, result in frontend.results_by_key().items()
+        for key, result in by_key(results).items()
     }
 
 
@@ -73,8 +73,7 @@ class TestGreedyBitIdentity:
                 rounds=BatchConfig(window_ms=40.0, max_batch=8),
             ),
         )
-        seamed.run(requests)
-        assert agreements(seamed) == agreements(plain)
+        assert agreements(seamed.run(requests)) == agreements(baseline)
 
     def test_greedy_identity_across_shard_counts(self, market, make_request):
         requests = mixed_requests(make_request, 18)
@@ -90,8 +89,7 @@ class TestGreedyBitIdentity:
                     rounds=BatchConfig(window_ms=40.0, max_batch=8),
                 ),
             )
-            frontend.run(requests)
-            keyed.append(agreements(frontend))
+            keyed.append(agreements(frontend.run(requests)))
         assert keyed[0] == keyed[1]
 
     def test_round_stats_surface_in_cache_stats(self, market, make_request):

@@ -11,10 +11,10 @@ surface per-shard dispatch counters under the ``"batching"`` key.
 from repro.fleet import FleetConfig, FleetFrontend
 from repro.runtime import BatchConfig
 
-from .conftest import OPERATIONS
+from .conftest import OPERATIONS, by_key
 
 
-def _fingerprints(frontend):
+def _fingerprints(results):
     return {
         key: (
             result.status,
@@ -26,7 +26,7 @@ def _fingerprints(frontend):
                 tuple(sorted(result.sla.resource_assignment.items())),
             ),
         )
-        for key, result in frontend.results_by_key().items()
+        for key, result in by_key(results).items()
     }
 
 
@@ -43,22 +43,21 @@ def _run(market, make_request, batching, shards=4):
         )
         for i in range(24)
     ]
-    frontend.run(requests)
-    return frontend
+    return frontend, frontend.run(requests)
 
 
 class TestFleetBatching:
     def test_agreements_identical_with_and_without_batching(
         self, market, make_request
     ):
-        baseline = _fingerprints(_run(market, make_request, None))
+        baseline = _fingerprints(_run(market, make_request, None)[1])
         assert len(baseline) == 24
         for config in (
             BatchConfig(window_ms=0.0, max_batch=1),
             BatchConfig(window_ms=10.0, max_batch=32),
         ):
             batched = _fingerprints(
-                _run(market, make_request, config)
+                _run(market, make_request, config)[1]
             )
             assert batched == baseline, config
 
@@ -66,14 +65,16 @@ class TestFleetBatching:
         self, market, make_request
     ):
         config = BatchConfig(window_ms=10.0, max_batch=16)
-        single = _fingerprints(_run(market, make_request, config, shards=1))
-        quad = _fingerprints(_run(market, make_request, config, shards=4))
+        single = _fingerprints(
+            _run(market, make_request, config, shards=1)[1]
+        )
+        quad = _fingerprints(_run(market, make_request, config, shards=4)[1])
         assert single == quad
 
     def test_cache_stats_surface_batching_counters(
         self, market, make_request
     ):
-        frontend = _run(
+        frontend, _ = _run(
             market,
             make_request,
             BatchConfig(window_ms=5.0, max_batch=16),
@@ -81,7 +82,7 @@ class TestFleetBatching:
         stats = frontend.cache_stats()
         assert "batching" in stats
         per_shard = stats["batching"]
-        assert set(per_shard) == set(frontend.results_by_shard)
+        assert set(per_shard) == set(frontend.shards)
         for row in per_shard.values():
             assert set(row) == {
                 "batches_dispatched",
@@ -94,5 +95,5 @@ class TestFleetBatching:
     def test_unbatched_fleet_reports_no_batching_key(
         self, market, make_request
     ):
-        frontend = _run(market, make_request, None)
+        frontend, _ = _run(market, make_request, None)
         assert "batching" not in frontend.cache_stats()

@@ -13,8 +13,9 @@ from repro.fleet import (
 from repro.fleet.frontend import _FleetItem
 from repro.runtime import RetryPolicy, SessionStatus
 from repro.soa import BernoulliCrash, FaultInjector
+from repro.telemetry import telemetry_session
 
-from .conftest import OPERATIONS
+from .conftest import OPERATIONS, by_key
 
 
 def requests_for(make_request, count):
@@ -66,15 +67,7 @@ class TestServing:
         # the cheapest provider wins on every shard, like a single broker
         assert all("P2" in r.sla.providers for r in results)
         # the session space actually spread over the shards
-        busy = [
-            shard
-            for shard, rs in frontend.results_by_shard.items()
-            if rs
-        ]
-        assert len(busy) == 3
-        assert sum(
-            len(rs) for rs in frontend.results_by_shard.values()
-        ) == 24
+        assert {r.shard for r in results} == set(frontend.shards)
 
     def test_submit_before_start_raises(self, market, make_request):
         frontend = FleetFrontend(market, FleetConfig(shards=2))
@@ -85,16 +78,16 @@ class TestServing:
     async def _submit_unstarted(frontend, request):
         frontend.submit(request)
 
-    def test_results_by_key_indexes_every_session(
+    def test_every_result_carries_its_key_and_shard(
         self, market, make_request
     ):
         frontend = FleetFrontend(
             market, FleetConfig(shards=2, seed=3, deadline_s=None)
         )
-        frontend.run(requests_for(make_request, 10))
-        by_key = frontend.results_by_key()
-        assert len(by_key) == 10
-        assert all(key.startswith("s") for key in by_key)
+        keyed = by_key(frontend.run(requests_for(make_request, 10)))
+        assert len(keyed) == 10
+        assert all(key.startswith("s") for key in keyed)
+        assert all(r.shard in frontend.shards for r in keyed.values())
 
 
 class TestBackpressure:
@@ -158,7 +151,7 @@ class TestResharding:
             result = await item.future
         assert result.status is SessionStatus.COMPLETED
         assert frontend.redirects == 1
-        assert frontend.assignments[key] == "shard-1"
+        assert result.shard == "shard-1"
 
     def test_add_shard_mid_run(self, market, make_request):
         asyncio.run(self._grow(market, make_request))
@@ -185,7 +178,7 @@ class TestResharding:
             )
         results = first + second
         assert all(r.status is SessionStatus.COMPLETED for r in results)
-        assert frontend.results_by_shard["shard-2"]  # newcomer served
+        assert any(r.shard == "shard-2" for r in second)  # newcomer served
 
     def test_remove_shard_drains_gracefully(self, market, make_request):
         asyncio.run(self._shrink(market, make_request))
@@ -263,7 +256,7 @@ class TestShardCountIndependence:
             ),
             injector_factory=crashy_injector_factory(market),
         )
-        frontend.run(requests_for(make_request, 24))
+        results = frontend.run(requests_for(make_request, 24))
         return {
             key: (
                 result.status,
@@ -272,7 +265,7 @@ class TestShardCountIndependence:
                 if result.sla is None
                 else tuple(result.sla.providers),
             )
-            for key, result in frontend.results_by_key().items()
+            for key, result in by_key(results).items()
         }
 
     def test_agreements_identical_for_1_and_4_shards(
@@ -328,9 +321,9 @@ class TestOperationRouting:
         results = frontend.run(requests_for(make_request, 12))
         assert all(r.status is SessionStatus.COMPLETED for r in results)
         # every session of one operation lands on the owning shard
-        for key, shard in frontend.assignments.items():
-            operation = key.rsplit("/", 1)[1]
-            assert frontend.ring.assign(operation) == shard
+        for result in results:
+            operation = result.request.operation
+            assert frontend.ring.assign(operation) == result.shard
 
 
 class TestCaching:
@@ -342,26 +335,25 @@ class TestCaching:
         async def scenario():
             await frontend.start()
             try:
-                for request in requests:
-                    await frontend.submit(request)
+                return [await frontend.submit(r) for r in requests]
             finally:
                 await frontend.stop()
 
-        asyncio.run(scenario())
+        return asyncio.run(scenario())
 
     def test_first_solve_warms_every_shard(self, market, make_request):
         frontend = FleetFrontend(
             market, FleetConfig(shards=4, seed=5, deadline_s=None)
         )
         # one operation only: every shard solves the same candidates
-        self.serve_one_at_a_time(
+        results = self.serve_one_at_a_time(
             frontend,
             [
                 make_request(client=f"c{i}", operation="render")
                 for i in range(16)
             ],
         )
-        assert all(frontend.results_by_shard.values())  # 4 busy shards
+        assert {r.shard for r in results} == set(frontend.shards)
         for shard in frontend.shards.values():
             assert shard.broker.solve_cache is frontend.solve_cache
         stats = frontend.cache_stats()["solve"]
@@ -387,14 +379,14 @@ class TestCaching:
                 await frontend.submit(request)  # warm-up
                 misses = frontend.cache_stats()["solve"]["misses"]
                 joined = await frontend.add_shard()
-                while not frontend.results_by_shard[joined]:
-                    await frontend.submit(request)
-                return joined, misses
+                result = await frontend.submit(request)
+                while result.shard != joined:
+                    result = await frontend.submit(request)
+                return result, misses
             finally:
                 await frontend.stop()
 
-        joined, misses = asyncio.run(scenario())
-        result = frontend.results_by_shard[joined][0]
+        result, misses = asyncio.run(scenario())
         assert result.status is SessionStatus.COMPLETED
         # no broker, the joined one included, missed after warm-up
         caches = {
@@ -415,3 +407,24 @@ class TestCaching:
         assert frontend.cache_stats()["solve"] is None
         for shard in frontend.shards.values():
             assert shard.broker.solve_cache is None
+
+
+class TestTracing:
+    def test_each_session_span_is_its_own_root(self, market, make_request):
+        # Shard workers and pumps must not inherit a span from shard
+        # start-up, or every session would nest under one finished span.
+        with telemetry_session() as session:
+            frontend = FleetFrontend(
+                market, FleetConfig(shards=2, seed=6, deadline_s=None)
+            )
+            frontend.run(requests_for(make_request, 12))
+            roots = session.tracer.finished
+            assert [root.name for root in roots].count(
+                "runtime.session"
+            ) == 12
+            assert all(
+                child.name != "runtime.session"
+                for root in roots
+                for child in root.iter_tree()
+                if child is not root
+            )

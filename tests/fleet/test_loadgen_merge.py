@@ -105,7 +105,7 @@ class TestFleetLoadGenerator:
         assert sum(
             row.offered for row in report.per_shard.values()
         ) == 20
-        # the fleet row was merged from the shard rows it summarizes
+        # the shard rows partition the fleet row
         all_latencies = sorted(
             r.latency_s
             for row in report.per_shard.values()
@@ -149,3 +149,26 @@ class TestFleetLoadGenerator:
                 row.offered for row in report.per_shard.values()
             )
             assert covered < 30
+
+    def test_per_shard_rows_cover_only_their_own_run(
+        self, market, make_request
+    ):
+        # Two runs on one frontend: each run's shard rows count that
+        # run's sessions only.
+        frontend = FleetFrontend(
+            market, FleetConfig(shards=2, seed=9, deadline_s=None)
+        )
+
+        def factory(client, index):
+            return make_request(client=client)
+
+        for _ in range(2):
+            report = FleetLoadGenerator(
+                frontend,
+                LoadProfile(clients=4, requests=40, mode="closed", seed=9),
+                factory,
+            ).run_sync()
+            assert report.fleet.offered == 40
+            assert sum(
+                row.offered for row in report.per_shard.values()
+            ) == 40

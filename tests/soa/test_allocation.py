@@ -264,19 +264,24 @@ class TestFairAllocation:
         assert jain_index(realized(results)) > 0.9
 
     def test_dense_and_scsp_engines_agree(
-        self, contention_market, contention_requests
+        self, contention_market, contention_requests, monkeypatch
     ):
         # The vectorized plane evaluation and the reference
-        # FunctionConstraint-through-solve() formulation optimize the
-        # same ⟨worst, welfare⟩ objective — allocations must agree.
+        # FunctionConstraint-through-solve() formulation (the oracle,
+        # swapped in on one instance) optimize the same ⟨worst,
+        # welfare⟩ objective — allocations must agree.
         dense = Broker(
             contention_market,
-            allocation_policy=FairAllocation(joint_solver="dense"),
+            allocation_policy=FairAllocation(),
             name="dense-broker",
         ).negotiate_round(contention_requests)
+        oracle = FairAllocation()
+        monkeypatch.setattr(
+            oracle, "_solve_cohort", oracle._solve_cohort_scsp
+        )
         scsp = Broker(
             contention_market,
-            allocation_policy=FairAllocation(joint_solver="scsp"),
+            allocation_policy=oracle,
             name="scsp-broker",
         ).negotiate_round(contention_requests)
         assert sorted(realized(dense)) == pytest.approx(
@@ -291,10 +296,6 @@ class TestFairAllocation:
             provider = result.sla.providers[0]
             scsp_loads[provider] = scsp_loads.get(provider, 0) + 1
         assert loads == scsp_loads
-
-    def test_unknown_joint_solver_rejected(self):
-        with pytest.raises(AllocationError, match="joint_solver"):
-            FairAllocation(joint_solver="quantum")
 
     def test_cohort_packer_respects_row_cap(self, contention_market):
         from repro.soa.allocation import MAX_JOINT_ROWS, _Member
@@ -351,7 +352,7 @@ class TestFairAllocation:
     ):
         broker = Broker(contention_market, allocation_policy="fair")
         results = broker.negotiate_round(contention_requests[:6])
-        recorded = {sla.sla_id for sla in broker.slas.active()}
+        recorded = {sla.sla_id for sla in broker.slas}
         assert {r.sla.sla_id for r in results} <= recorded
 
 

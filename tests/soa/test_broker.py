@@ -140,7 +140,6 @@ class TestSingleServiceNegotiation:
         result = broker.negotiate(client_request)
         assert len(broker.slas) == 1
         assert broker.slas.for_client("C") == [result.sla]
-        assert broker.slas.for_provider("P2") == [result.sla]
 
     def test_nmsccp_confirmation(self, cost_market, client_request):
         broker = Broker(cost_market)

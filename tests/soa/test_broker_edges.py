@@ -97,7 +97,9 @@ class TestRepeatedNegotiation:
         assert first.success and second.success
         assert second.sla.sla_id > first.sla.sla_id
         assert second.sla.created_at > first.sla.created_at
-        assert len(broker.slas) == 2
+        # the re-negotiated agreement replaces the first one
+        assert len(broker.slas) == 1
+        assert broker.slas.for_client("C") == [second.sla]
 
     def test_concurrent_sessions_get_distinct_clock_stamps(self, weighted):
         registry = ServiceRegistry()

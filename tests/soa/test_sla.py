@@ -101,18 +101,21 @@ class TestRepository:
         repo.add(b)
         assert len(repo) == 2
         assert repo.for_client("C1") == [a]
-        assert repo.for_provider("P1") == [a, b]
-        assert repo.for_provider("P2") == [b]
+        assert repo.for_client("C3") == []
         assert list(repo) == [a, b]
 
-    def test_active_filter(self):
+    def test_renegotiation_replaces_the_current_sla(self):
         repo = SLARepository()
-        a = make_sla()
-        b = make_sla()
-        repo.add(a)
-        repo.add(b)
-        a.terminate()
-        assert repo.active() == [b]
+        first = make_sla(client="C", attribute="cost")
+        other = make_sla(client="C", attribute="latency")
+        second = make_sla(client="C", attribute="cost")
+        for sla in (first, other, second):
+            repo.add(sla)
+        assert len(repo) == 2
+        assert repo.for_client("C") == [second, other]
+        assert list(repo) == [second, other]
+        # superseded, not terminated
+        assert first.active
 
 
 class TestViolation:
